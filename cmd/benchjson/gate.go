@@ -30,14 +30,15 @@ import (
 // timeCritical names the benchmarks whose ns_per_op regression fails
 // the gate: the end-to-end campaign headliner plus the kernel-bound
 // benchmarks this repo's vector dispatch and fast-forward solvers
-// exist for — losing the SIMD solve, the bulk bank fast-forward or
-// the bender-trace event-horizon jump must not slip through as
-// "runner noise".
+// exist for — losing the SIMD solve, the bulk bank fast-forward, the
+// bender-trace event-horizon jump or the guarded bank's refresh-window
+// skip must not slip through as "runner noise".
 var timeCritical = map[string]bool{
 	"StudyCampaign":                       true,
 	"SolveBatch":                          true,
 	"BankEngineCharacterizeRowDenseCells": true,
 	"BenderTraceFastForward":              true,
+	"MitigationCampaign":                  true,
 }
 
 // newestBaseline returns the BENCH_<n>.json in dir with the largest

@@ -165,6 +165,23 @@ func TestCompareSnapshotsGatesKernelBenchmarks(t *testing.T) {
 	}
 }
 
+// TestCompareSnapshotsGatesMitigationCampaign: losing the guarded
+// bank's refresh-window skip (MitigationCampaign back to its act-by-act
+// time) fails the gate on ns/op, though the benchmark allocates too
+// much to be alloc-guarded.
+func TestCompareSnapshotsGatesMitigationCampaign(t *testing.T) {
+	baseline := gateBaseline()
+	baseline.Benchmarks = append(baseline.Benchmarks,
+		benchResult{Name: "MitigationCampaign", NsPerOp: 9_100_000, AllocsPerOp: 1704})
+	fresh := gateBaseline()
+	fresh.Benchmarks = append(fresh.Benchmarks,
+		benchResult{Name: "MitigationCampaign", NsPerOp: 115_000_000, AllocsPerOp: 67163})
+	v := compareSnapshots(baseline, fresh, 0.30, 100)
+	if len(v) != 1 || !strings.Contains(v[0], "MitigationCampaign") || !strings.Contains(v[0], "ns/op") {
+		t.Fatalf("violations: %v, want one MitigationCampaign ns/op line", v)
+	}
+}
+
 // TestRenderSummarySortsRows: the table is the sorted union of both
 // snapshots' names, whatever order the files store them in.
 func TestRenderSummarySortsRows(t *testing.T) {

@@ -79,10 +79,12 @@
 //     SEC-DED ECC, TRR+ECC stacked. internal/mitigation registers the
 //     "mitigated" engine kind: the TRR guard wraps the simulated bank
 //     as a core.BankDriver, so the guarded bank satisfies core.Engine
-//     and reuses the bank engine's hammer loop (and its event-horizon
-//     fast-forward) instead of duplicating it. Study.MitigationSummary
-//     and report.MitigationTable/MitigationCSV render flip survival
-//     per scenario per module.
+//     and reuses the bank engine's hammer loop instead of duplicating
+//     it. The unguarded, refresh-free baseline gets the event-horizon
+//     fast-forward; the guarded bank gets the refresh-window skip (see
+//     below). Study.MitigationSummary and
+//     report.MitigationTable/MitigationCSV render flip survival per
+//     scenario per module.
 //   - Combined-attack crossover (characterize -exp crossover):
 //     Study.CrossoverSweep extracts per-tAggON mean time-to-first-flip
 //     per pattern, the winning pattern per cell and the tAggON bracket
@@ -303,6 +305,27 @@
 // mantissa/exponent pairs (internal/core/bankbatch.go), bit-identical
 // to the float reference (FuzzBankBatchParity), which remains the
 // purego build's implementation.
+//
+// Under a TRR guard and periodic refresh the fast-forward does not
+// apply (the guard mutates cell state the damage profile does not
+// model), so the hammer loop skips refresh windows instead — the runs
+// of activations between two REFs. A window that starts with the
+// victim pristine (no side bookkeeping, every unflipped accumulator
+// zero) and the guard quiescent (nothing observed since its REF) has
+// an outcome fixed by its first act index and activation count. Once
+// one window of such a class has run act by act without a victim flip
+// and closed with a REF that refreshed the victim, later windows of
+// the class in the same row advance the clock, act position and
+// ACT/PRE counters arithmetically and close by replaying that REF: the
+// bank's real round-robin Refresh, then the memoized targeted
+// refreshes. A driver opts in through core.RefreshReplayer
+// (mitigation.Guard does); each row's first window, a window the
+// budget cuts short, a driver without the interface and refresh
+// without a driver all run act by act, and core.WithExactReplay turns
+// the skip off. RowResults, the victim's row and the ACT/PRE/REF, REF
+// and TRR counts stay byte-identical to act-by-act execution
+// (TestGuardedWindowParity, FuzzGuardedWindowParity); a guarded 2 ms
+// row drops from ~39 K executed activations to under a thousand.
 //
 // Benchmarks guard all of this: run
 //

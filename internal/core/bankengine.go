@@ -26,6 +26,9 @@ var aggressorOffsets = [...]int{-1, +1}
 // flip activation, time and CompareRow readback. RowResults are
 // byte-identical to full act-by-act execution (pinned by the
 // fast-vs-exact grid and property tests); WithExactReplay opts out.
+// Under a driver with periodic refresh the fast-forward is off, and a
+// RefreshReplayer driver (a TRR guard) gets the refresh-window skip of
+// bankwindow.go instead, byte-identical the same way.
 //
 // The engine uses the bank's construction-time run seed for cell
 // populations; RunOpts.Run is ignored here. Like the bank it drives, a
@@ -37,12 +40,14 @@ type BankEngine struct {
 	// exact forces act-by-act execution from iteration 1.
 	exact bool
 	// drv, when set, receives every ACT/PRE/REF instead of the bank
-	// (a mitigation guard, say); implies exact execution, since a
-	// driver may mutate bank state the damage-profile solve cannot see.
+	// (a mitigation guard, say). A driver may mutate bank state the
+	// damage-profile solve cannot see, so it turns the event-horizon
+	// fast-forward off; a RefreshReplayer driver gets the
+	// refresh-window skip instead (see skipWindows).
 	drv BankDriver
 	// refEvery injects a REF through the driver whenever the hammer
 	// clock passes the next multiple of it (0 = refresh disabled, the
-	// paper's characterization methodology). Implies exact execution.
+	// paper's characterization methodology).
 	refEvery  time.Duration
 	refreshes int64
 
@@ -60,6 +65,13 @@ type BankEngine struct {
 	profActs      []device.ProfileAct
 	accs          []float64
 	bsolve        bankSolve
+	// The current row's memoized refresh-window classes, their closing
+	// REF targets flattened into windowRows, and the class of the
+	// window now running act by act (see skipWindows).
+	windows    []refWindow
+	windowRows []int
+	open       refWindow
+	openOK     bool
 }
 
 var _ Engine = (*BankEngine)(nil)
@@ -80,10 +92,35 @@ type BankDriver interface {
 
 var _ BankDriver = (*device.Bank)(nil)
 
+// RefreshReplayer is an optional BankDriver extension that lets the
+// hammer loop skip whole refresh windows (the runs of activations
+// between two REFs; see skipWindows). A driver implementing it
+// promises that when it is quiescent at the start of a window, its
+// REF closing that window depends only on the window's activations,
+// and that replaying that REF's targets reproduces it exactly.
+// mitigation.Guard implements it; the interface lives here because
+// core cannot import the mitigation package.
+type RefreshReplayer interface {
+	BankDriver
+	// Quiescent reports that the driver has observed no activation
+	// since its last REF.
+	Quiescent() bool
+	// RefreshTargets returns the rows the last REF refreshed on the
+	// driver's own behalf, after the bank's round-robin batch, in
+	// order. The slice is valid until the next REF.
+	RefreshTargets() []int
+	// ReplayRefresh issues a REF whose targets are rows: the bank's
+	// round-robin refresh, then rows, with the driver's bookkeeping
+	// (counters, tracker reset) exactly as if it had chosen them.
+	ReplayRefresh(now time.Duration, rows []int) error
+}
+
 // WithDriver routes the hammer loop's ACT/PRE (and any injected REF)
-// through d instead of the bare bank. The fast-forward is disabled: a
-// driver may mutate cell state (TRR refreshes victims) in ways the
-// damage-profile solve cannot model, so execution must be act by act.
+// through d instead of the bare bank. The event-horizon fast-forward
+// is off under a driver: a driver may mutate cell state (TRR refreshes
+// victims) in ways the damage-profile solve cannot model. A driver
+// that implements RefreshReplayer gets the refresh-window skip instead;
+// any other driver runs act by act.
 func WithDriver(d BankDriver) BankEngineOption {
 	return func(e *BankEngine) { e.drv = d }
 }
@@ -91,17 +128,19 @@ func WithDriver(d BankDriver) BankEngineOption {
 // WithRefreshEvery injects a REF through the driver every interval of
 // hammering time, before the activation that first reaches it — the
 // cadence mitigation evaluations hammer against. Zero disables refresh
-// (the default, matching the paper's methodology). Implies exact
-// execution like WithDriver.
+// (the default, matching the paper's methodology). Refresh turns the
+// event-horizon fast-forward off; with a RefreshReplayer driver the
+// loop skips repeated refresh windows, and without one (refresh alone,
+// or another driver) it runs act by act.
 func WithRefreshEvery(interval time.Duration) BankEngineOption {
 	return func(e *BankEngine) { e.refEvery = interval }
 }
 
-// WithExactReplay disables the event-horizon fast-forward: every
-// activation of every iteration is executed one by one. Results are
-// byte-identical either way; exact replay is the bit-exact reference
-// the fast path is validated against, and the mode to reach for when
-// debugging the device model itself.
+// WithExactReplay disables the event-horizon fast-forward and the
+// refresh-window skip: every activation of every iteration is executed
+// one by one. Results are byte-identical either way; exact replay is
+// the bit-exact reference the fast paths are validated against, and
+// the mode to reach for when debugging the device model itself.
 func WithExactReplay() BankEngineOption {
 	return func(e *BankEngine) { e.exact = true }
 }
@@ -185,92 +224,107 @@ func (e *BankEngine) CharacterizeRow(victim int, spec pattern.Spec, opts RunOpts
 			return res, nil
 		}
 	}
-	if err := e.hammer(victim, spec, acts, maxIters, 1, 0, 0, &res); err != nil {
+	if err := e.hammer(victim, spec, acts, maxIters, 1, 0, &res); err != nil {
 		return RowResult{}, err
 	}
 	return res, nil
 }
 
 // hammer drives the bank act by act from startIter (1-based) with the
-// given running clock and activation count, stopping at the first new
-// victim-row bitflip, and performs the end-of-experiment readback when
-// the iteration budget runs out — the shared back half of the exact and
-// the fast-forward path.
-func (e *BankEngine) hammer(victim int, spec pattern.Spec, acts []pattern.Act, maxIters, startIter int64, now time.Duration, totalActs int64, res *RowResult) error {
+// given running clock, stopping at the first new victim-row bitflip,
+// and performs the end-of-experiment readback when the iteration
+// budget runs out — the shared back half of the exact and the
+// fast-forward path. Every caller has issued (startIter-1) whole
+// iterations before it, so the act position doubles as the activation
+// count. Under a RefreshReplayer driver it skips repeated refresh
+// windows (skipWindows).
+func (e *BankEngine) hammer(victim int, spec pattern.Spec, acts []pattern.Act, maxIters, startIter int64, now time.Duration, res *RowResult) error {
 	cells := e.bank.VictimCells(victim)
 	gen := e.bank.FlipGeneration()
 	nextRef := e.refEvery
-	for iter := startIter; iter <= maxIters; iter++ {
-		for ai, a := range acts {
-			if e.refEvery > 0 && now >= nextRef {
-				refresh := e.bank.Refresh
-				if e.drv != nil {
-					refresh = e.drv.Refresh
-				}
-				if err := refresh(now); err != nil {
-					return fmt.Errorf("iter %d ref: %w", iter, err)
-				}
-				e.refreshes++
-				nextRef += e.refEvery
-				// A REF may heal (or, through TRR, reset) victim cells;
-				// resync the generation watermark so the flip scan below
-				// still fires only on genuinely new flips.
-				gen = e.bank.FlipGeneration()
-			}
-			row := victim + a.RowOffset
-			var err error
+	rep, _ := e.drv.(RefreshReplayer)
+	if e.exact || e.refEvery <= 0 || iterationTime(acts, spec.Timings.TRP) <= 0 {
+		rep = nil
+	}
+	e.windows, e.windowRows, e.openOK = e.windows[:0], e.windowRows[:0], false
+	n := int64(len(acts))
+	end := maxIters * n
+	for pos := (startIter - 1) * n; pos < end; pos++ {
+		if e.refEvery > 0 && now >= nextRef {
+			refresh := e.bank.Refresh
 			if e.drv != nil {
-				err = e.drv.Activate(row, now)
-			} else {
-				err = e.bank.Activate(row, now)
+				refresh = e.drv.Refresh
 			}
-			if err != nil {
-				return fmt.Errorf("iter %d act %d: %w", iter, ai, err)
+			if err := refresh(now); err != nil {
+				return fmt.Errorf("iter %d ref: %w", pos/n+1, err)
 			}
-			now += a.OnTime
-			if e.drv != nil {
-				err = e.drv.Precharge(now)
-			} else {
-				err = e.bank.Precharge(now)
+			e.refreshes++
+			nextRef += e.refEvery
+			if rep != nil {
+				var err error
+				if pos, now, nextRef, err = e.skipWindows(rep, victim, acts, spec.Timings.TRP, pos, end, now, nextRef); err != nil {
+					return fmt.Errorf("iter %d ref: %w", pos/n+1, err)
+				}
 			}
-			if err != nil {
-				return fmt.Errorf("iter %d pre %d: %w", iter, ai, err)
-			}
-			totalActs++
-			preAt := now
-			now += spec.Timings.TRP
-
-			// First-flip check after every precharge (damage is applied
-			// at precharge time). The flip-generation counter makes the
-			// common no-flip case one integer compare; the cell
-			// population is only walked after a generation change (which
-			// may also come from a flip in a non-victim row — the walk
-			// then finds nothing and the hammering continues).
-			if e.bank.FlipGeneration() == gen {
-				continue
-			}
+			// A REF may heal (or, through TRR, reset) victim cells;
+			// resync the generation watermark so the flip scan below
+			// still fires only on genuinely new flips.
 			gen = e.bank.FlipGeneration()
-			newFlip := false
-			for i := range cells {
-				if cells[i].Flipped() && !e.flippedBefore.Has(cells[i].Bit) {
-					newFlip = true
-					break
-				}
-			}
-			if !newFlip {
-				continue
-			}
-			flips, err := e.bank.CompareRow(victim, preAt)
-			if err != nil {
-				return err
-			}
-			res.NoBitflip = false
-			res.Iterations = iter
-			res.ACmin = totalActs
-			res.TimeToFirst = preAt
-			res.Flips = flips
-			return nil
 		}
+		iter, ai := pos/n+1, int(pos%n)
+		a := acts[ai]
+		row := victim + a.RowOffset
+		var err error
+		if e.drv != nil {
+			err = e.drv.Activate(row, now)
+		} else {
+			err = e.bank.Activate(row, now)
+		}
+		if err != nil {
+			return fmt.Errorf("iter %d act %d: %w", iter, ai, err)
+		}
+		now += a.OnTime
+		if e.drv != nil {
+			err = e.drv.Precharge(now)
+		} else {
+			err = e.bank.Precharge(now)
+		}
+		if err != nil {
+			return fmt.Errorf("iter %d pre %d: %w", iter, ai, err)
+		}
+		preAt := now
+		now += spec.Timings.TRP
+
+		// First-flip check after every precharge (damage is applied
+		// at precharge time). The flip-generation counter makes the
+		// common no-flip case one integer compare; the cell
+		// population is only walked after a generation change (which
+		// may also come from a flip in a non-victim row — the walk
+		// then finds nothing and the hammering continues).
+		if e.bank.FlipGeneration() == gen {
+			continue
+		}
+		gen = e.bank.FlipGeneration()
+		newFlip := false
+		for i := range cells {
+			if cells[i].Flipped() && !e.flippedBefore.Has(cells[i].Bit) {
+				newFlip = true
+				break
+			}
+		}
+		if !newFlip {
+			continue
+		}
+		flips, err := e.bank.CompareRow(victim, preAt)
+		if err != nil {
+			return err
+		}
+		res.NoBitflip = false
+		res.Iterations = iter
+		res.ACmin = pos + 1
+		res.TimeToFirst = preAt
+		res.Flips = flips
+		return nil
 	}
 
 	// Final readback, as the real methodology does at the end of every
@@ -285,7 +339,7 @@ func (e *BankEngine) hammer(victim int, spec pattern.Spec, acts []pattern.Act, m
 	if len(flips) > 0 {
 		res.NoBitflip = false
 		res.Iterations = maxIters
-		res.ACmin = totalActs
+		res.ACmin = end
 		res.TimeToFirst = now
 		res.Flips = flips
 	}

@@ -82,7 +82,7 @@ func (e *BankEngine) fastForward(victim int, spec pattern.Spec, acts []pattern.A
 	if err := e.bank.SeekRowDisturb(victim, e.accs, strong, weak, skipped*int64(a)); err != nil {
 		return false, nil
 	}
-	err := e.hammer(victim, spec, acts, maxIters, startIter, time.Duration(skipped)*iterTime, skipped*int64(a), res)
+	err := e.hammer(victim, spec, acts, maxIters, startIter, time.Duration(skipped)*iterTime, res)
 	return true, err
 }
 

@@ -46,12 +46,20 @@ type Bank struct {
 	isOpen  bool
 
 	tempC float64
+	// tf is params.TempFactor(tempC), cached because every disturbed
+	// row needs it on every precharge and it costs a math.Exp.
+	tf float64
 	// weakSide is the resolved weak-side press coupling.
 	weakSide float64
 	// mapper scrambles logical row addresses (nil = identity).
 	mapper RowMapper
 
 	refCursor int // next row batch for round-robin REF
+
+	// gen and genUsed are scratch for generating the weak cells of a
+	// row on first touch.
+	gen     RowPopulation
+	genUsed Bitset
 
 	// flipGen increments every time a weak cell materializes a flip,
 	// letting engines detect "no new flips" by comparing one integer
@@ -113,6 +121,7 @@ func NewBank(cfg BankConfig) (*Bank, error) {
 		rows:     make(map[int]*rowState),
 		openRow:  -1,
 		tempC:    temp,
+		tf:       cfg.Params.TempFactor(temp),
 		weakSide: WeakSideCouplingOf(cfg.Profile, cfg.Params),
 		mapper:   cfg.Mapper,
 	}, nil
@@ -137,7 +146,10 @@ func (b *Bank) OpenRow() (int, bool) {
 }
 
 // SetTemperature sets the die temperature used for subsequent damage.
-func (b *Bank) SetTemperature(c float64) { b.tempC = c }
+func (b *Bank) SetTemperature(c float64) {
+	b.tempC = c
+	b.tf = b.params.TempFactor(c)
+}
 
 // Temperature returns the current die temperature.
 func (b *Bank) Temperature() float64 { return b.tempC }
@@ -149,15 +161,25 @@ func (b *Bank) Counters() (act, pre, ref int64) {
 
 // row materializes a row on first touch.
 func (b *Bank) row(r int) *rowState {
+	st := b.disturbedRow(r)
+	st.allocBuffers(b.RowBytes())
+	return st
+}
+
+// disturbedRow materializes a row on first touch without its data
+// buffers. Most rows precharges reach are never written or read, and
+// flip rarely, so they hold zeros without storing them.
+func (b *Bank) disturbedRow(r int) *rowState {
 	st, ok := b.rows[r]
 	if ok {
 		return st
 	}
+	// The same cells GenerateRowCells returns, built in the bank's
+	// scratch population.
+	b.gen.build(b.profile, b.params, b.index, r, b.rowBits, &b.genUsed)
 	st = &rowState{
-		data:   make([]byte, b.rowBits/8),
-		golden: make([]byte, b.rowBits/8),
-		weak:   GenerateRowCells(b.profile, b.params, b.index, r, b.rowBits, b.runSeed),
-		ret:    generateRetentionCells(b.profile, b.index, r, b.rowBits),
+		weak: b.gen.AppendCells(make([]WeakCell, 0, b.gen.Len()), b.runSeed),
+		ret:  generateRetentionCells(b.profile, b.index, r, b.rowBits),
 	}
 	b.rows[r] = st
 	return st
@@ -253,7 +275,7 @@ func (b *Bank) Precharge(now time.Duration) error {
 // disturb applies one activation's damage to a victim row at the given
 // distance from the aggressor.
 func (b *Bank) disturb(victim, distance int, side Side, onTime time.Duration, actStart time.Duration) {
-	st := b.row(victim)
+	st := b.disturbedRow(victim)
 	si := sideIdx(side)
 	oi := sideIdx(otherSide(side))
 
@@ -310,7 +332,7 @@ type actDose struct {
 func (b *Bank) doseFor(distance int, side Side, onTime time.Duration, synergy, interleaved bool) actDose {
 	blastH, blastP := b.params.BlastFactors(distance)
 	return actDose{
-		tf:       b.params.TempFactor(b.tempC),
+		tf:       b.tf,
 		hammer:   b.params.HammerBoost(onTime) * blastH,
 		press:    b.params.PressExposure(onTime, interleaved) * blastP,
 		side:     side,
@@ -333,11 +355,12 @@ func (d *actDose) delta(c *WeakCell) float64 {
 
 // tryFlip materializes a flip if the cell stores the vulnerable value.
 func (b *Bank) tryFlip(st *rowState, c *WeakCell) {
-	if storedBit(st.data, c.Bit) != c.Dir.From() {
+	if st.bit(c.Bit) != c.Dir.From() {
 		// The cell is pushed toward the value it already holds; no
 		// observable flip (data-pattern dependence).
 		return
 	}
+	st.allocBuffers(b.RowBytes())
 	setBit(st.data, c.Bit, c.Dir.To())
 	c.flipped = true
 	b.flipGen++
@@ -599,5 +622,41 @@ func (b *Bank) SeekRowDisturb(row int, accs []float64, strong, weak SideSeek, sk
 	st.sideSeen[wi], st.hasLast[wi], st.lastActStart[wi] = weak.Seen, weak.HasLast, weak.LastActStart
 	b.actCount += skippedActs
 	b.preCount += skippedActs
+	return nil
+}
+
+// RowPristine reports whether a row carries no disturbance state: no
+// aggressor-side bookkeeping and every unflipped cell's accumulator at
+// zero, as a refresh, write or activation leaves it. An untouched row
+// is pristine; an out-of-range one is not.
+func (b *Bank) RowPristine(row int) bool {
+	p, err := b.phys(row)
+	if err != nil {
+		return false
+	}
+	st, ok := b.rows[p]
+	if !ok {
+		return true
+	}
+	if st.sideSeen != [2]bool{} || st.hasLast != [2]bool{} {
+		return false
+	}
+	for i := range st.weak {
+		if !st.weak[i].flipped && st.weak[i].acc != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// SkipActs advances the ACT and PRE counters by n activations the
+// caller accounts for without executing them, so diagnostics count a
+// skipped schedule as executed. It touches no row state.
+func (b *Bank) SkipActs(n int64) error {
+	if b.isOpen {
+		return fmt.Errorf("device: skip with row %d open: %w", b.openRow, ErrBankOpen)
+	}
+	b.actCount += n
+	b.preCount += n
 	return nil
 }

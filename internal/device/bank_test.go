@@ -1,7 +1,9 @@
 package device
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -310,6 +312,73 @@ func TestWriteResetsFlips(t *testing.T) {
 	}
 	if len(after) != 0 {
 		t.Errorf("%d flips survive a full row write", len(after))
+	}
+}
+
+// TestUnwrittenRowHoldsZeros pins the semantics of a row that was only
+// ever disturbed (its buffers are allocated on demand): it reads back
+// zeros, compares clean, flips only 0->1 cells, and a column write
+// leaves its other bytes zero.
+func TestUnwrittenRowHoldsZeros(t *testing.T) {
+	b := testBank(t)
+	const victim = 300
+	zeros := make([]byte, b.RowBytes())
+	now := time.Duration(0)
+	var flips []Bitflip
+	for iter := 0; iter < 60000 && len(flips) == 0; iter++ {
+		for _, agg := range []int{victim - 1, victim + 1} {
+			if err := b.Activate(agg, now); err != nil {
+				t.Fatal(err)
+			}
+			now += timing.TRAS
+			if err := b.Precharge(now); err != nil {
+				t.Fatal(err)
+			}
+			now += timing.TRP
+		}
+		if iter == 0 {
+			if data, err := b.RowData(victim, now); err != nil || !bytes.Equal(data, zeros) {
+				t.Fatalf("disturbed row reads %x, %v; want zeros", data, err)
+			}
+		}
+		var err error
+		if flips, err = b.CompareRow(victim, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(flips) == 0 {
+		t.Fatal("hammering never flipped the unwritten row")
+	}
+	want := slices.Clone(zeros)
+	for _, f := range flips {
+		if f.Dir != ZeroToOne {
+			t.Fatalf("unwritten row flipped %+v, want only 0->1", f)
+		}
+		want[f.Bit/8] |= 1 << uint(f.Bit%8)
+	}
+	if data, err := b.RowData(victim, now); err != nil || !bytes.Equal(data, want) {
+		t.Fatalf("flipped row reads %x, %v; want %x", data, err, want)
+	}
+
+	const other = 900
+	if err := b.Activate(other, now); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Write(4, []byte{0xde, 0xad}, now); err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.Read(0, 8, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, []byte{0, 0, 0, 0, 0xde, 0xad, 0, 0}) {
+		t.Fatalf("column write to an unwritten row reads back %x", got)
+	}
+	if err := b.Precharge(now + timing.TRAS); err != nil {
+		t.Fatal(err)
+	}
+	if flips, err := b.CompareRow(other, now); err != nil || len(flips) != 0 {
+		t.Fatalf("written columns compare as %v, %v; want clean", flips, err)
 	}
 }
 

@@ -22,7 +22,9 @@ type retCell struct {
 	flipped bool
 }
 
-// rowState is the materialized state of one DRAM row.
+// rowState is the materialized state of one DRAM row. A row first
+// touched by a neighbour's precharge leaves data and golden nil, which
+// stands for all zeros, until a flip or a write allocates both.
 type rowState struct {
 	data   []byte
 	golden []byte
@@ -111,6 +113,15 @@ type RowPopulation struct {
 //     value matches their flip direction, since the paper's numbers are
 //     measured under that data pattern.
 func NewRowPopulation(p Profile, d DisturbParams, bank, row int, rowBits int) *RowPopulation {
+	rp := &RowPopulation{}
+	var used Bitset
+	rp.build(p, d, bank, row, rowBits, &used)
+	return rp
+}
+
+// build fills rp with the base population of a row, reusing its cell
+// storage and used, the scratch set of bits already assigned.
+func (rp *RowPopulation) build(p Profile, d DisturbParams, bank, row int, rowBits int, used *Bitset) {
 	serialHash := hashString(p.Serial)
 	rowWord := uint64(bank)<<32 | uint64(uint32(row))
 	r := newRNG(serialHash, rowWord, 0xce11)
@@ -118,7 +129,6 @@ func NewRowPopulation(p Profile, d DisturbParams, bank, row int, rowBits int) *R
 	rowACmin := p.HammerACmin * r.meanOneLognormal(p.RowSigmaHammer)
 	rowPressTau := p.effectivePressTau().Seconds() * r.meanOneLognormal(p.RowSigmaPress)
 
-	var used Bitset
 	used.Reset(rowBits)
 	pickBit := func(dir Polarity, anchored bool) int {
 		for {
@@ -159,13 +169,13 @@ func NewRowPopulation(p Profile, d DisturbParams, bank, row int, rowBits int) *R
 		return v
 	}
 
-	rp := &RowPopulation{
-		cells:      make([]popCell, 0, 2*p.WeakCellsPerMech),
-		runSigma:   p.RunSigma,
-		synergy:    d.Synergy,
-		serialHash: serialHash,
-		rowWord:    rowWord,
+	if n := 2 * p.WeakCellsPerMech; cap(rp.cells) < n {
+		rp.cells = make([]popCell, 0, n)
 	}
+	rp.cells = rp.cells[:0]
+	rp.runSigma, rp.synergy = p.RunSigma, d.Synergy
+	rp.serialHash, rp.rowWord = serialHash, rowWord
+	rp.hasPressSens, rp.pressSensDenom = false, 0
 
 	// Row-level press coupling of the hammer population. The spread is
 	// per row (not per cell) so that the strong calibration guarantees
@@ -217,7 +227,6 @@ func NewRowPopulation(p Profile, d DisturbParams, bank, row int, rowBits int) *R
 			th:       th,
 		})
 	}
-	return rp
 }
 
 // Len returns the number of cells in the population.
@@ -301,6 +310,23 @@ func generateRetentionCells(p Profile, bank, row int, rowBits int) []retCell {
 		cells = append(cells, retCell{bit: r.intn(rowBits), ret: ret, dir: dir})
 	}
 	return cells
+}
+
+// allocBuffers gives a row materialized without data its zeroed data
+// and golden buffers of rowBytes bytes.
+func (st *rowState) allocBuffers(rowBytes int) {
+	if st.data == nil {
+		st.data = make([]byte, rowBytes)
+		st.golden = make([]byte, rowBytes)
+	}
+}
+
+// bit returns the row's stored value at bit offset bit.
+func (st *rowState) bit(bit int) byte {
+	if st.data == nil {
+		return 0
+	}
+	return storedBit(st.data, bit)
 }
 
 // storedBit returns the bit value at offset bit in data.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -365,6 +366,13 @@ type Client struct {
 // network, frozen host) must surface as an error the worker loop can
 // retry — not a forever-blocked POST that outlives the very lease TTL
 // this design exists to enforce.
+//
+// The manifest fetch is retried on transport errors and on 5xx answers
+// that carry no queue sentinel: at most dialAttempts (5) tries, with
+// 100, 200, 400 and 800 ms of backoff between them (1.5 s in all, plus
+// the requests themselves). Sentinel answers (ErrUnknownCampaign,
+// ErrBadCampaignToken, ErrCanceled, ...) and other 4xx answers return
+// at once.
 func Dial(base string, hc *http.Client) (*Client, error) {
 	return dial(base, "/v1", "", hc)
 }
@@ -382,13 +390,26 @@ func DialCampaign(base, campaignID, token string, hc *http.Client) (*Client, err
 	return dial(base, "/v1/campaigns/"+campaignID, token, hc)
 }
 
+// The manifest fetch's retry budget (see Dial).
+const (
+	dialAttempts = 5
+	dialBackoff  = 100 * time.Millisecond
+)
+
 func dial(base, prefix, token string, hc *http.Client) (*Client, error) {
 	if hc == nil {
 		hc = &http.Client{Timeout: time.Minute}
 	}
 	c := &Client{base: strings.TrimRight(base, "/"), prefix: prefix, token: token, hc: hc}
-	if err := c.get("/manifest", &c.manifest); err != nil {
-		return nil, err
+	for attempt := 1; ; attempt++ {
+		err := c.get("/manifest", &c.manifest)
+		if err == nil {
+			break
+		}
+		if attempt == dialAttempts || !transientAnswer(err) {
+			return nil, err
+		}
+		time.Sleep(dialBackoff << (attempt - 1))
 	}
 	if err := c.manifest.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: %w", base, err)
@@ -583,6 +604,30 @@ func (c *Client) post(path string, body any, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
+// statusError is a coordinator answer outside 2xx that carries no
+// queue sentinel.
+type statusError struct {
+	code   int
+	status string
+	detail string
+}
+
+func (e *statusError) Error() string {
+	return fmt.Sprintf("dispatch: coordinator returned %s: %s", e.status, e.detail)
+}
+
+// transientAnswer reports whether a request failed in a way a retry may
+// fix: the transport failed (or a fault was injected there), or the
+// coordinator answered 5xx without a queue sentinel.
+func transientAnswer(err error) bool {
+	var se *statusError
+	if errors.As(err, &se) {
+		return se.code >= 500
+	}
+	var ue *url.Error
+	return errors.As(err, &ue) || errors.Is(err, faultpoint.ErrInjected)
+}
+
 // responseErr maps an error response back to the queue sentinels.
 func responseErr(resp *http.Response) error {
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
@@ -610,5 +655,5 @@ func responseErr(resp *http.Response) error {
 	case errValBadCampaignToken:
 		return fmt.Errorf("%w (%s)", ErrBadCampaignToken, detail)
 	}
-	return fmt.Errorf("dispatch: coordinator returned %s: %s", resp.Status, detail)
+	return &statusError{code: resp.StatusCode, status: resp.Status, detail: detail}
 }

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rowfuse/internal/core"
 	"rowfuse/internal/dispatch"
+	"rowfuse/internal/faultpoint"
 	"rowfuse/internal/resultio"
 )
 
@@ -137,5 +140,66 @@ func TestHTTPWorkersDrainCampaign(t *testing.T) {
 	}
 	if !strings.Contains(rep, "complete: 18 of 18 cells") {
 		t.Fatalf("drained report not marked complete:\n%s", rep)
+	}
+}
+
+// TestDialRetriesTransientManifestFailures pins Dial's bounded retry: a
+// fault injected at the client before the manifest fetch and a 5xx
+// answer without a sentinel are both retried, and the worker still
+// drains the campaign; a sentinel answer returns at once.
+func TestDialRetriesTransientManifestFailures(t *testing.T) {
+	m := dispatch.NewManifest(testConfig(t), 2, time.Minute)
+	q, err := dispatch.NewMemQueue(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := dispatch.NewHandler(q)
+	var manifestGets, overloaded atomic.Int32
+	overloaded.Store(1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/manifest") {
+			manifestGets.Add(1)
+			if overloaded.Add(-1) >= 0 {
+				http.Error(w, "overloaded", http.StatusServiceUnavailable)
+				return
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	sched, err := faultpoint.ParseSchedule("http.client:count=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultpoint.Arm(sched)
+	defer faultpoint.Disarm()
+	c, err := dispatch.Dial(srv.URL, srv.Client())
+	if err != nil {
+		t.Fatalf("Dial gave up on transient failures: %v", err)
+	}
+	if fired := faultpoint.Fired(); len(fired) != 1 || fired[0] != "http.client" {
+		t.Fatalf("fired fault points %v, want the one http.client fault", fired)
+	}
+	if n := manifestGets.Load(); n != 2 {
+		t.Fatalf("coordinator saw %d manifest requests, want 2 (one 503, one served)", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if n, err := dispatch.Work(ctx, c, dispatch.WorkerOptions{Name: "late-dialer", Log: t.Logf}); err != nil || n != 2 {
+		t.Fatalf("worker drained %d units, err %v; want 2", n, err)
+	}
+
+	var sentinelGets atomic.Int32
+	canceled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sentinelGets.Add(1)
+		dispatch.WriteError(w, dispatch.ErrCanceled)
+	}))
+	defer canceled.Close()
+	if _, err := dispatch.Dial(canceled.URL, canceled.Client()); !errors.Is(err, dispatch.ErrCanceled) {
+		t.Fatalf("Dial against a canceled campaign: %v, want ErrCanceled", err)
+	}
+	if n := sentinelGets.Load(); n != 1 {
+		t.Fatalf("sentinel answer retried: %d manifest requests", n)
 	}
 }

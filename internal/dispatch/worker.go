@@ -256,12 +256,28 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 	defer pipeCancel()
 	prefetchCh := make(chan *prefetchedLease, 1)
 	var next *prefetchedLease
-	var prefetching atomic.Bool // a prefetchLease goroutine has not delivered yet
+	var prefetching atomic.Bool // the one prefetchLease goroutine has not been received from yet
 	defer func() {
 		if next != nil {
 			next.release()
 		}
 	}()
+	// awaitPrefetch waits out an in-flight prefetch and reports whether
+	// it delivered a lease to adopt. A no-work or drained answer to this
+	// worker's own Acquire says nothing about a grant still in flight:
+	// the prefetch may hold the very unit that answer missed.
+	awaitPrefetch := func() (bool, error) {
+		if !prefetching.Load() {
+			return false, nil
+		}
+		select {
+		case next = <-prefetchCh:
+			prefetching.Store(false)
+			return next != nil, nil
+		case <-ctx.Done():
+			return false, ctx.Err()
+		}
+	}
 	done := 0
 	for {
 		if next == nil && prefetching.Load() {
@@ -286,25 +302,24 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 		}
 		switch {
 		case errors.Is(err, ErrDrained):
-			// A prefetched grant may still be in flight; a drained
-			// answer to this worker's own Acquire says nothing about
-			// it. Wait the prefetch out and adopt its lease before
-			// concluding, or the unit would be abandoned to TTL expiry.
-			if prefetching.Load() {
-				select {
-				case next = <-prefetchCh:
-					prefetching.Store(false)
-					if next != nil {
-						continue
-					}
-				case <-ctx.Done():
-					return done, ctx.Err()
-				}
+			// Adopt an in-flight prefetch before concluding, or its
+			// unit would be abandoned to TTL expiry.
+			if ok, err := awaitPrefetch(); err != nil {
+				return done, err
+			} else if ok {
+				continue
 			}
 			opt.Log("worker %s: campaign drained after %d units", opt.Name, done)
 			return done, nil
 		case errors.Is(err, ErrNoWork):
 			strikes = 0
+			// Adopt an in-flight prefetch instead of sleeping a whole
+			// poll while it holds the unit.
+			if ok, err := awaitPrefetch(); err != nil {
+				return done, err
+			} else if ok {
+				continue
+			}
 			select {
 			case <-ctx.Done():
 				return done, ctx.Err()
@@ -392,8 +407,13 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 				}
 				if unitCells > 0 && unitCells-len(cp.Cells) <= pipeThreshold {
 					prefetchOnce.Do(func() {
-						prefetching.Store(true)
-						go prefetchLease(pipeCtx, q, opt, beat, prefetchCh)
+						// One prefetch in flight at a time: the
+						// previous unit's may not have answered yet,
+						// and a second delivery would strand its lease
+						// in prefetchCh with nothing left to read it.
+						if prefetching.CompareAndSwap(false, true) {
+							go prefetchLease(pipeCtx, q, opt, beat, prefetchCh)
+						}
 					})
 				}
 				return nil

@@ -1,11 +1,15 @@
 // The "mitigated" scenario engine: a guarded bank riding the
-// ground-truth BankEngine hammer loop. The mitigation package used to
-// keep its own copy of the activate/precharge/refresh loop; now the
-// guard plugs into core.BankEngine as a BankDriver and the periodic
-// REF cadence comes from core.WithRefreshEvery, so there is exactly
-// one hammer loop in the tree and mitigation evaluations inherit its
-// flip detection, budget accounting and (for the unguarded,
-// refresh-free baseline) the event-horizon fast-forward.
+// ground-truth BankEngine hammer loop. The guard plugs into
+// core.BankEngine as a BankDriver and the periodic REF cadence comes
+// from core.WithRefreshEvery, so there is exactly one hammer loop in
+// the tree and mitigation evaluations inherit its flip detection and
+// budget accounting. The unguarded, refresh-free baseline inherits the
+// event-horizon fast-forward; a guarded bank inherits the
+// refresh-window skip, because Guard implements core.RefreshReplayer:
+// once a window between two REFs has run act by act and its REF
+// refreshed the victim, later windows with the same schedule are
+// skipped and close by replaying that REF. Both stay byte-identical to
+// act-by-act execution; refresh without a guard runs act by act.
 package mitigation
 
 import (
@@ -36,7 +40,8 @@ type EngineConfig struct {
 	Bank *device.Bank
 	// Guard is optional; nil hammers the unguarded bank (and, with
 	// RefInterval zero, the paper's refresh-disabled baseline — which
-	// then runs on the fast-forwarding bank path).
+	// then runs on the fast-forwarding bank path). A guard with a
+	// RefInterval gets the bank engine's refresh-window skip.
 	Guard *Guard
 	// RefInterval issues a REF every such period of hammering time
 	// (zero disables refresh, the paper's methodology).

@@ -9,11 +9,13 @@
 package mitigation
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
+	"rowfuse/internal/core"
 	"rowfuse/internal/device"
 )
 
@@ -23,17 +25,29 @@ import (
 type Tracker interface {
 	// Observe records one activation of a logical row.
 	Observe(row int)
-	// Top returns up to n candidate aggressors, hottest first.
+	// Top returns up to n candidate aggressors, hottest first. The
+	// slice may be reused by the tracker's next call.
 	Top(n int) []int
-	// Reset clears the tracker state (issued after TRR fires).
+	// Reset clears the tracker state (issued after TRR fires). A reset
+	// tracker must behave like a new one: the guard's refresh-window
+	// skip relies on it.
 	Reset()
 }
 
 // MisraGries is a k-counter frequent-items tracker, the standard
-// building block of counter-based TRR implementations.
+// building block of counter-based TRR implementations. Top and Reset
+// reuse its storage, so a guard's REF allocates nothing.
 type MisraGries struct {
 	k        int
 	counters map[int]int64
+	entries  []mgEntry
+	top      []int
+}
+
+// mgEntry is one tracked row and its count, as Top ranks them.
+type mgEntry struct {
+	row int
+	cnt int64
 }
 
 // NewMisraGries builds a tracker with k counters.
@@ -65,48 +79,58 @@ func (m *MisraGries) Observe(row int) {
 	}
 }
 
-// Top implements Tracker.
+// Top implements Tracker. The returned slice is reused by the next
+// Top call.
 func (m *MisraGries) Top(n int) []int {
-	type entry struct {
-		row int
-		cnt int64
-	}
-	entries := make([]entry, 0, len(m.counters))
+	m.entries = m.entries[:0]
 	for r, c := range m.counters {
-		entries = append(entries, entry{r, c})
+		m.entries = append(m.entries, mgEntry{r, c})
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].cnt != entries[j].cnt {
-			return entries[i].cnt > entries[j].cnt
+	slices.SortFunc(m.entries, func(a, b mgEntry) int {
+		if a.cnt != b.cnt {
+			return cmp.Compare(b.cnt, a.cnt)
 		}
-		return entries[i].row < entries[j].row
+		return cmp.Compare(a.row, b.row)
 	})
-	if n > len(entries) {
-		n = len(entries)
+	if n > len(m.entries) {
+		n = len(m.entries)
 	}
-	out := make([]int, 0, n)
-	for _, e := range entries[:n] {
-		out = append(out, e.row)
+	m.top = m.top[:0]
+	for _, e := range m.entries[:n] {
+		m.top = append(m.top, e.row)
 	}
-	return out
+	return m.top
 }
 
-// Reset implements Tracker.
+// Reset implements Tracker. It clears the counters in place.
 func (m *MisraGries) Reset() {
-	m.counters = make(map[int]int64, m.k+1)
+	clear(m.counters)
 }
 
 // Guard wraps a bank with a TRR mechanism: it observes activations and,
 // when a REF arrives, additionally refreshes the physical neighbours of
 // the hottest tracked aggressors (the "target rows").
+//
+// Guard implements core.RefreshReplayer, so the bank engine can skip
+// whole refresh windows under it: a REF's targets depend only on the
+// activations since the previous REF, so once a window has run act by
+// act, a later window with the same schedule closes with the same
+// targeted refreshes.
 type Guard struct {
 	bank    *device.Bank
 	tracker Tracker
 	// victimsPerRef is how many aggressors are neutralized per REF.
 	victimsPerRef int
 
+	// observed records an activation since the last REF; targets are
+	// the rows the last REF refreshed on TRR's behalf, in order.
+	observed bool
+	targets  []int
+
 	trrRefreshes int64
 }
+
+var _ core.RefreshReplayer = (*Guard)(nil)
 
 // GuardConfig configures a TRR guard.
 type GuardConfig struct {
@@ -143,6 +167,7 @@ func (g *Guard) Activate(row int, now time.Duration) error {
 		return err
 	}
 	g.tracker.Observe(row)
+	g.observed = true
 	return nil
 }
 
@@ -157,19 +182,50 @@ func (g *Guard) Refresh(now time.Duration) error {
 	if err := g.bank.Refresh(now); err != nil {
 		return err
 	}
+	g.targets = g.targets[:0]
 	for _, agg := range g.tracker.Top(g.victimsPerRef) {
-		for _, victim := range []int{agg - 1, agg + 1} {
+		for _, victim := range [...]int{agg - 1, agg + 1} {
 			if victim < 0 || victim >= g.bank.NumRows() {
 				continue
 			}
-			if err := g.bank.RefreshRow(victim, now); err != nil {
-				return fmt.Errorf("mitigation: TRR refresh row %d: %w", victim, err)
-			}
-			g.trrRefreshes++
+			g.targets = append(g.targets, victim)
 		}
 	}
+	return g.refreshTargets(now)
+}
+
+// refreshTargets refreshes the recorded target rows and resets the
+// tracker, the tail every REF shares.
+func (g *Guard) refreshTargets(now time.Duration) error {
+	for _, victim := range g.targets {
+		if err := g.bank.RefreshRow(victim, now); err != nil {
+			return fmt.Errorf("mitigation: TRR refresh row %d: %w", victim, err)
+		}
+		g.trrRefreshes++
+	}
 	g.tracker.Reset()
+	g.observed = false
 	return nil
+}
+
+// Quiescent implements core.RefreshReplayer: the tracker has observed
+// no activation since the last REF.
+func (g *Guard) Quiescent() bool { return !g.observed }
+
+// RefreshTargets implements core.RefreshReplayer: the rows the last REF
+// refreshed on TRR's behalf, in order. The slice is reused by the next
+// REF.
+func (g *Guard) RefreshTargets() []int { return g.targets }
+
+// ReplayRefresh implements core.RefreshReplayer: a REF that performs
+// the bank's round-robin refresh and then refreshes rows as targets,
+// without consulting the tracker.
+func (g *Guard) ReplayRefresh(now time.Duration, rows []int) error {
+	if err := g.bank.Refresh(now); err != nil {
+		return err
+	}
+	g.targets = append(g.targets[:0], rows...)
+	return g.refreshTargets(now)
 }
 
 // TRRRefreshes returns how many targeted refreshes have been issued.
