@@ -190,12 +190,15 @@
 //     keeps static units and grants the most expensive remaining unit
 //     first (LPT), since no process owns the plan there.
 //   - Workers write intra-unit checkpoints (Queue.SavePartial) every
-//     N completed cells, and a re-granted lease resumes from the dead
-//     worker's last partial (Queue.LoadPartial + Study.Seed) instead
-//     of recomputing the unit. Partials hold whole-cell deterministic
-//     aggregates only, so the failure semantics are unchanged:
-//     execution at-least-once, folding exactly-once, and a resumed
-//     unit's checkpoint is byte-identical to a from-scratch run.
+//     N completed cells, each carrying only the cells the coordinator
+//     has not yet acknowledged; the queue merges them into the unit's
+//     stored partial, so checkpoint bytes grow linearly with the unit.
+//     A re-granted lease resumes from that merged partial
+//     (Queue.LoadPartial + Study.Seed) instead of recomputing the
+//     unit. Partials hold whole-cell deterministic aggregates only, so
+//     the failure semantics are unchanged: execution at-least-once,
+//     folding exactly-once, and a resumed unit's checkpoint is
+//     byte-identical to a from-scratch run.
 //   - The coordinator's rolling merged state renders live partial
 //     figures: core.PartialTable2 and core.PartialFig4 extract
 //     Table 2 / Fig 4 from an incomplete cell map, and

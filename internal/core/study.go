@@ -141,6 +141,22 @@ type ModuleResult struct {
 	// agg is the cell's fold: a dense grid aggregate for module
 	// cells, a distribution sketch for fleet cells.
 	agg Fold
+	// st caches agg.State() once the cell is stored in a study (see
+	// state); guarded by the study's lock.
+	st *AggregateState
+}
+
+// state returns the stored cell's exported aggregate, computing it on
+// first use; callers hold the owning study's lock. A stored cell's
+// fold never changes again — Seed replaces the whole ModuleResult —
+// so checkpoints reuse one export instead of re-sorting the flip keys
+// of every finished cell each time.
+func (r *ModuleResult) state() AggregateState {
+	if r.st == nil {
+		st := r.agg.State()
+		r.st = &st
+	}
+	return *r.st
 }
 
 // gridAgg returns the dense grid aggregate behind this cell, or an
@@ -531,13 +547,16 @@ func (s *Study) selectCells(grid []CellKey) (func(int) bool, error) {
 // serialize concurrently with an ongoing Run. Only the mergeable
 // aggregates are exported: raw observations kept under
 // KeepObservations do not survive a Snapshot/Seed round trip (restored
-// cells report Observations() > 0 with empty Rows).
+// cells report Observations() > 0 with empty Rows). Each cell's state
+// is exported once and cached, so the returned states share their flip
+// keys and fleet state with the study and with other snapshots:
+// callers must treat them as read-only.
 func (s *Study) Snapshot() map[CellKey]AggregateState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[CellKey]AggregateState, len(s.results))
 	for k, r := range s.results {
-		out[k] = r.agg.State()
+		out[k] = r.state()
 	}
 	return out
 }
@@ -592,7 +611,7 @@ func (s *Study) Seed(cells map[CellKey]AggregateState) error {
 		}
 		s.mu.Lock()
 		if prev, ok := s.results[key]; ok {
-			st = MergeAggregates(prev.agg.State(), st)
+			st = MergeAggregates(prev.state(), st)
 		}
 		fold, err := foldFromState(st)
 		if err != nil {

@@ -23,9 +23,10 @@ import (
 //	manifest.json    the campaign description (written once by InitDir)
 //	lease_0007.json  unit 7 is leased (exclusively-created, atomically
 //	                 rewritten by heartbeats)
-//	part_0007.json   unit 7's intra-unit checkpoint (atomically
-//	                 replaced as the leaseholder progresses; what a
-//	                 re-granted lease resumes from)
+//	part_0007.json   unit 7's intra-unit checkpoint (the leaseholder's
+//	                 new cells merged in and the file atomically
+//	                 replaced as it progresses; what a re-granted
+//	                 lease resumes from)
 //	done_0007.json   unit 7's accepted checkpoint (exclusively linked
 //	                 into place; immutable once it exists)
 //	cost_0007.json   unit 7's observed compute cost (best-effort
@@ -700,12 +701,14 @@ func (q *DirQueue) Submit(l Lease, cp *resultio.Checkpoint, elapsed time.Duratio
 	return nil
 }
 
-// SavePartial implements Queue: atomically replace the unit's
-// intra-unit checkpoint, provided we still hold the lease. The
-// ownership check is advisory (a thief may take the lease between
-// check and rename); a stale partial is harmless — its cells are
-// whole-cell deterministic aggregates of this same campaign, so a
-// resumer seeded with it computes the identical bytes either way.
+// SavePartial implements Queue: merge the lease's newly finished cells
+// into the unit's stored intra-unit checkpoint and atomically replace
+// the part file, provided we still hold the lease. The ownership check
+// is advisory (a thief may take the lease between check and rename,
+// and its own merge may then be overwritten); a stale or short partial
+// is harmless — its cells are whole-cell deterministic aggregates of
+// this same campaign, so a resumer seeded with it computes the
+// identical bytes either way, and cells missing from it are recomputed.
 func (q *DirQueue) SavePartial(l Lease, cp *resultio.Checkpoint) error {
 	if l.Unit < 0 || l.Unit >= q.manifest.Units {
 		return fmt.Errorf("dispatch: save partial for unit %d of %d", l.Unit, q.manifest.Units)
@@ -723,8 +726,12 @@ func (q *DirQueue) SavePartial(l Lease, cp *resultio.Checkpoint) error {
 	if err := validateUnitCheckpoint(q.manifest, q.grid, l.Unit, q.unitCells[l.Unit], cp, true); err != nil {
 		return err
 	}
+	stored, err := q.readPartial(l.Unit)
+	if err != nil {
+		return err
+	}
 	var buf bytes.Buffer
-	if err := resultio.SaveCheckpoint(&buf, cp); err != nil {
+	if err := resultio.SaveCheckpoint(&buf, resultio.MergePartial(stored, cp)); err != nil {
 		return err
 	}
 	return replaceAtomic(q.dir, partFile(l.Unit), buf.Bytes())

@@ -463,15 +463,22 @@ type Queue interface {
 	// ErrDuplicateSubmit and ErrLeaseLost mean another worker's result
 	// was accepted instead — not a failure of the campaign.
 	Submit(l Lease, cp *resultio.Checkpoint, elapsed time.Duration) error
-	// SavePartial stores an intra-unit checkpoint — the aggregates of
-	// the unit's cells completed so far — under the lease, replacing
-	// any previous one. Validated like a submission but without the
-	// completeness requirement. Best-effort by contract: losing a
-	// partial costs recompute time, never correctness.
+	// SavePartial stores an intra-unit checkpoint under the lease: cp
+	// holds the cells finished since the caller's last successful
+	// SavePartial under this lease, and the queue merges them into the
+	// unit's stored partial. A cell may arrive again (a lost response
+	// makes the worker resend it); the later record replaces the
+	// stored one, and since cells are deterministic whole-cell
+	// aggregates the two are equal. Validated like a submission but
+	// without the completeness requirement: the fingerprint, every
+	// cell on the grid and in the unit, no cell twice within cp.
+	// Best-effort by contract: losing a partial costs recompute time,
+	// never correctness.
 	SavePartial(l Lease, cp *resultio.Checkpoint) error
-	// LoadPartial returns the unit's stored intra-unit checkpoint, or
-	// (nil, nil) if none — typically a dead predecessor's progress
-	// that a freshly re-granted lease resumes from.
+	// LoadPartial returns the unit's stored intra-unit checkpoint —
+	// every partial merged, in resultio.NewCheckpoint order — or
+	// (nil, nil) if none: typically a dead predecessor's progress that
+	// a freshly re-granted lease resumes from.
 	LoadPartial(l Lease) (*resultio.Checkpoint, error)
 	// Fail reports that the unit's work errored under a live lease (a
 	// crash, a panic, a unit-timeout) — a strike. The lease is

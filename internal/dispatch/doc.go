@@ -31,13 +31,17 @@
 // same tail from the ordering side.
 //
 // Workers also write intra-unit checkpoints: the completed cells of
-// the unit in flight, stored at the queue under the lease. When a
-// lease expires and is re-granted, the new holder resumes from the
-// dead worker's last partial instead of recomputing the whole unit.
-// Execution stays at-least-once and folding exactly-once — partials
-// hold only whole-cell aggregates, which are deterministic, so a
-// resumed unit's final checkpoint is byte-identical to a from-scratch
-// run.
+// the unit in flight, stored at the queue under the lease. Each
+// partial carries only the cells finished since the worker's last
+// acknowledged one, and the queue merges it into the unit's stored
+// partial (and journals just those cells), so a unit of n cells costs
+// O(n) checkpoint bytes rather than O(n²). When a lease expires and is
+// re-granted, the new holder resumes from everything the dead worker
+// checkpointed instead of recomputing the whole unit. Execution stays
+// at-least-once and folding exactly-once — partials hold only
+// whole-cell aggregates, which are deterministic, so a resent cell
+// merges to the same state and a resumed unit's final checkpoint is
+// byte-identical to a from-scratch run.
 //
 // Two queue implementations share the Queue interface:
 //

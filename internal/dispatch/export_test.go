@@ -12,3 +12,11 @@ func ForceLockFiles(q *DirQueue) { q.hardLinks = false }
 func ExclusiveCreateForTest(dir, name string, content []byte, stale time.Duration) error {
 	return exclusiveCreate(dir, name, content, false, stale)
 }
+
+// The journal's file name and the record kinds of accepted checkpoints,
+// for tests that read a WALQueue's journal directly.
+const (
+	WALFile     = walFile
+	KindSubmit  = kindSubmit
+	KindPartial = kindPartial
+)

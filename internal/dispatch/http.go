@@ -88,8 +88,12 @@ const FollowSeparator = "\f\n"
 //	POST /v1/lease       {"worker": name} -> Lease
 //	POST /v1/heartbeat   Lease -> 204
 //	POST /v1/submit      {"lease": ..., "checkpoint": ..., "elapsedNs": n} -> 204
-//	POST /v1/partial     {"lease": ..., "checkpoint": ...} -> 204 (save)
+//	POST /v1/partial     {"lease": ..., "checkpoint": ...} -> 204 (save: the
+//	                     checkpoint holds the cells new since the lease's
+//	                     last acknowledged save, merged into the stored
+//	                     partial)
 //	                     {"lease": ..., "load": true} -> {"checkpoint": ...|null}
+//	                     (the merged partial)
 //	POST /v1/fail        {"lease": ..., "reason": ...} -> 204 (a strike)
 //	GET  /v1/quarantine  the dead-letter list ([]QuarantineEntry)
 //	POST /v1/quarantine  {"unit": n, "action": "requeue"|"drop"} -> 204

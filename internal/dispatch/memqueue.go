@@ -409,8 +409,9 @@ func (q *MemQueue) Submit(l Lease, cp *resultio.Checkpoint, elapsed time.Duratio
 	return nil
 }
 
-// SavePartial implements Queue: store the unit's intra-unit checkpoint
-// under a live lease.
+// SavePartial implements Queue: merge the lease's newly finished cells
+// into the unit's stored intra-unit checkpoint. Only the new cells are
+// journaled.
 func (q *MemQueue) SavePartial(l Lease, cp *resultio.Checkpoint) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -428,7 +429,7 @@ func (q *MemQueue) SavePartial(l Lease, cp *resultio.Checkpoint) error {
 	if err := validateUnitCheckpoint(q.manifest, q.grid, l.Unit, u.cells, cp, true); err != nil {
 		return err
 	}
-	u.partial = cp
+	u.partial = resultio.MergePartial(u.partial, cp)
 	if q.sink != nil {
 		q.sink.journalPartial(l.Unit, u.token, cp)
 	}

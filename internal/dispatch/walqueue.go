@@ -784,7 +784,11 @@ func (q *MemQueue) restoreSubmit(unit int, worker string, cp *resultio.Checkpoin
 	return nil
 }
 
-// restorePartial applies a journaled intra-unit checkpoint.
+// restorePartial applies a journaled intra-unit checkpoint by merging
+// its cells into the unit's stored partial, as SavePartial did. A
+// journal written before partials became incremental holds cumulative
+// records, each containing the one before, so merging replays it to
+// the same state replacing did.
 func (q *MemQueue) restorePartial(unit int, token string, cp *resultio.Checkpoint) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -795,7 +799,10 @@ func (q *MemQueue) restorePartial(unit int, token string, cp *resultio.Checkpoin
 	if u.token != token {
 		return fmt.Errorf("partial for unit %d under a foreign token", unit)
 	}
-	u.partial = cp
+	if cp == nil {
+		return fmt.Errorf("partial for unit %d without a checkpoint", unit)
+	}
+	u.partial = resultio.MergePartial(u.partial, cp)
 	return nil
 }
 

@@ -37,8 +37,13 @@ type UnitWork struct {
 	// recomputed.
 	Resume *resultio.Checkpoint
 	// SavePartial, when non-nil, receives intra-unit checkpoints as
-	// cells complete. Errors are the runner's to tolerate: partials are
-	// an optimization, the unit result must not depend on them.
+	// cells complete. Each carries only the cells finished since the
+	// last call that returned nil (the queue merges them into the
+	// unit's stored partial); the cells of a call that failed ride
+	// along with the next one, since the queue may have applied them
+	// anyway. A runner never overlaps calls. Errors are the runner's
+	// to tolerate: partials are an optimization, the unit result must
+	// not depend on them.
 	SavePartial func(*resultio.Checkpoint) error
 	// PartialEvery is the intra-unit checkpoint cadence in completed
 	// cells (<= 0: after every cell).
@@ -73,7 +78,9 @@ type WorkerOptions struct {
 	// PartialEvery is the intra-unit checkpoint cadence in completed
 	// cells (default 1: every completed cell is durable immediately;
 	// raise it if checkpoint I/O to the coordinator is expensive
-	// relative to a cell's compute time).
+	// relative to a cell's compute time). Each checkpoint uploads only
+	// the cells the coordinator has not yet acknowledged, so the
+	// cadence sets the round-trip count, not the bytes.
 	PartialEvery int
 	// UnitTimeout bounds a single unit's compute (0 = unbounded). A
 	// unit that exceeds it is canceled and reported to the queue as a
@@ -142,8 +149,8 @@ func RunStudyShard(ctx context.Context, m Manifest, plan core.ShardPlan) (*resul
 // RunUnitWork computes one unit: reconstruct the campaign config from
 // the manifest, restrict it to the unit's cells, seed the intra-unit
 // resume checkpoint (completed cells are skipped, not recomputed),
-// stream new intra-unit checkpoints through u.SavePartial, and pack
-// the unit's complete aggregate state.
+// stream the newly finished cells through u.SavePartial, and pack the
+// unit's complete aggregate state.
 func RunUnitWork(ctx context.Context, m Manifest, u UnitWork, concurrency int) (*resultio.Checkpoint, UnitRunStats, error) {
 	var stats UnitRunStats
 	cfg, err := m.Campaign.StudyConfig()
@@ -161,6 +168,12 @@ func RunUnitWork(ctx context.Context, m Manifest, u UnitWork, concurrency int) (
 		cfg.CheckpointEvery = 1
 	}
 	stats.TotalCells = len(cells)
+	// acked holds the cells the queue already has: the seeded resume
+	// cells, then those of every partial whose save returned nil. Each
+	// partial carries only the finished cells outside it, so a unit of
+	// n cells uploads O(n) checkpoint bytes rather than O(n²). Study.Run
+	// serializes its checkpoint calls, which are the only users.
+	acked := make(map[core.CellKey]bool)
 	if u.SavePartial != nil {
 		save := u.SavePartial
 		total := len(cells)
@@ -169,10 +182,24 @@ func RunUnitWork(ctx context.Context, m Manifest, u UnitWork, concurrency int) (
 			// result does not depend on them landing. The final
 			// checkpoint Study.Run fires covers the complete unit —
 			// Submit is about to deliver those exact bytes, so
-			// forwarding it as a partial would be a redundant full
-			// round trip.
-			if len(done) < total {
-				_ = save(resultio.NewCheckpoint(m.Fingerprint, core.ShardPlan{}, done))
+			// forwarding it as a partial would be a redundant round
+			// trip.
+			if len(done) >= total {
+				return nil
+			}
+			fresh := make(map[core.CellKey]core.AggregateState)
+			for key, st := range done {
+				if !acked[key] {
+					fresh[key] = st
+				}
+			}
+			if len(fresh) == 0 {
+				return nil
+			}
+			if save(resultio.NewCheckpoint(m.Fingerprint, core.ShardPlan{}, fresh)) == nil {
+				for key := range fresh {
+					acked[key] = true
+				}
 			}
 			return nil
 		}
@@ -183,6 +210,9 @@ func RunUnitWork(ctx context.Context, m Manifest, u UnitWork, concurrency int) (
 		if err == nil {
 			if err := study.Seed(seeded); err == nil {
 				stats.ResumedCells = len(seeded)
+				for key := range seeded {
+					acked[key] = true
+				}
 			}
 		}
 	}
@@ -390,10 +420,17 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 		}
 		// Pipelining trigger: once the unit is into its last
 		// checkpoint-interval's worth of cells, overlap the next
-		// Acquire with the tail compute. One attempt per unit.
+		// Acquire with the tail compute. One attempt per unit. Partials
+		// carry only new cells, so progress is the resumed cells plus
+		// every cell of an acknowledged partial (none is sent twice once
+		// acknowledged).
 		pipeThreshold := opt.PartialEvery
 		if pipeThreshold < 1 {
 			pipeThreshold = 1
+		}
+		acked := 0
+		if resume != nil {
+			acked = len(resume.Cells)
 		}
 		var prefetchOnce sync.Once
 		work := UnitWork{
@@ -402,10 +439,14 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 			Resume:       resume,
 			PartialEvery: opt.PartialEvery,
 			SavePartial: func(cp *resultio.Checkpoint) error {
-				if err := q.SavePartial(lease, cp); err != nil && !errors.Is(err, ErrLeaseLost) {
+				err := q.SavePartial(lease, cp)
+				switch {
+				case err == nil:
+					acked += len(cp.Cells)
+				case !errors.Is(err, ErrLeaseLost):
 					opt.Log("worker %s: unit %d: intra-unit checkpoint: %v", opt.Name, lease.Unit, err)
 				}
-				if unitCells > 0 && unitCells-len(cp.Cells) <= pipeThreshold {
+				if unitCells > 0 && unitCells-acked <= pipeThreshold {
 					prefetchOnce.Do(func() {
 						// One prefetch in flight at a time: the
 						// previous unit's may not have answered yet,
@@ -416,7 +457,7 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 						}
 					})
 				}
-				return nil
+				return err
 			},
 		}
 		start := time.Now()

@@ -2,13 +2,16 @@ package resultio
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"rowfuse/internal/core"
@@ -92,19 +95,83 @@ func NewCheckpoint(fingerprint string, shard core.ShardPlan, cells map[core.Cell
 }
 
 func sortCells(cells []CellRecord) {
-	sort.Slice(cells, func(i, j int) bool {
-		a, b := cells[i], cells[j]
-		if a.Module != b.Module {
-			return a.Module < b.Module
+	sort.Slice(cells, func(i, j int) bool { return compareCells(&cells[i], &cells[j]) < 0 })
+}
+
+// compareCells orders records by (module, pattern, tAggON, scenario),
+// the order NewCheckpoint writes.
+func compareCells(a, b *CellRecord) int {
+	if c := strings.Compare(a.Module, b.Module); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Pattern, b.Pattern); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.AggOnNs, b.AggOnNs); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Scenario, b.Scenario)
+}
+
+// MergePartial folds delta's cells into base's and returns the union as
+// a new checkpoint in NewCheckpoint order, with delta's fingerprint and
+// shard and the version its cells call for. A cell present in both
+// takes delta's record: the later one wins. Queues use it to merge a
+// worker's incremental intra-unit checkpoint into the unit's stored
+// partial, so it never modifies an input — stored partials are shared
+// with LoadPartial answers and compaction snapshots — and an input
+// that is not in canonical order (a hand-built checkpoint, say) is
+// sorted in a copy first. base may be nil; delta must not be. Neither
+// input may repeat a cell; callers validate that (CellMap) first.
+func MergePartial(base, delta *Checkpoint) *Checkpoint {
+	var old []CellRecord
+	if base != nil {
+		old = sortedCells(base.Cells)
+	}
+	add := sortedCells(delta.Cells)
+	out := &Checkpoint{
+		Version:     CheckpointVersion,
+		Fingerprint: delta.Fingerprint,
+		Shard:       delta.Shard,
+		Cells:       make([]CellRecord, 0, len(old)+len(add)),
+	}
+	i, j := 0, 0
+	for i < len(old) && j < len(add) {
+		switch c := compareCells(&old[i], &add[j]); {
+		case c < 0:
+			out.Cells = append(out.Cells, old[i])
+			i++
+		case c > 0:
+			out.Cells = append(out.Cells, add[j])
+			j++
+		default:
+			out.Cells = append(out.Cells, add[j])
+			i++
+			j++
 		}
-		if a.Pattern != b.Pattern {
-			return a.Pattern < b.Pattern
+	}
+	out.Cells = append(out.Cells, old[i:]...)
+	out.Cells = append(out.Cells, add[j:]...)
+	for k := range out.Cells {
+		if out.Cells[k].Agg.Fleet != nil {
+			out.Version = CheckpointVersionFleet
+			break
 		}
-		if a.AggOnNs != b.AggOnNs {
-			return a.AggOnNs < b.AggOnNs
+	}
+	return out
+}
+
+// sortedCells returns cells in canonical order: cells itself when it
+// already is, otherwise a sorted copy.
+func sortedCells(cells []CellRecord) []CellRecord {
+	for k := 1; k < len(cells); k++ {
+		if compareCells(&cells[k-1], &cells[k]) >= 0 {
+			sorted := slices.Clone(cells)
+			sortCells(sorted)
+			return sorted
 		}
-		return a.Scenario < b.Scenario
-	})
+	}
+	return cells
 }
 
 // CellMap converts the checkpoint back into the form core.Study.Seed
