@@ -224,11 +224,12 @@
 //     wal.ErrBadVersion), pinned by a crash-injection table test.
 //   - dispatch.WALQueue wraps MemQueue with that log: every transition
 //     (init, grant, re-plan, heartbeat, submit, partial, steal,
-//     cancel) is journaled as applied, and everything except
-//     heartbeats is fsynced before it is acknowledged. Records carry
-//     outcomes (minted tokens, computed expiries, plan deltas), so
-//     replay is pure delta application — OpenWALQueue reconstructs
-//     the exact queue state, live leases and cost model included.
+//     strike, cancel) is a record, journaled as applied, and
+//     everything except heartbeats is fsynced before it is
+//     acknowledged. Records carry outcomes (minted tokens, computed
+//     expiries, plan deltas), and live operations and replay run the
+//     same apply function on them, so OpenWALQueue reconstructs the
+//     exact queue state, live leases and cost model included.
 //     Compaction atomically snapshots and truncates the log; a failed
 //     append poisons the queue rather than letting memory drift from
 //     the journal.

@@ -207,3 +207,34 @@ func TestDirQueueLateSubmitUnquarantines(t *testing.T) {
 		t.Fatalf("status %+v, want the late submit counted done", st)
 	}
 }
+
+// TestStaleBreakLockDoesNotWedgeClaim: a creator that crashed while
+// breaking a stale claim leaves its break lock behind. Once that lock
+// is stale too, the next creator must clear both and take the name.
+func TestStaleBreakLockDoesNotWedgeClaim(t *testing.T) {
+	dir := t.TempDir()
+	const name = "unit_0000.json"
+	claim := filepath.Join(dir, name+".claim")
+	old := time.Now().Add(-time.Hour)
+	for _, p := range []string{claim, claim + ".break"} {
+		if err := os.WriteFile(p, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(p, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dispatch.ExclusiveCreateForTest(dir, name, []byte("payload"), time.Minute); err != nil {
+		t.Fatalf("stale claim plus stale break lock wedged the name: %v", err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil || string(data) != "payload" {
+		t.Fatalf("payload %q, %v", data, err)
+	}
+	if fi, err := os.Stat(claim); err != nil || time.Since(fi.ModTime()) > time.Minute {
+		t.Fatalf("claim not retaken: %v", err)
+	}
+	if _, err := os.Stat(claim + ".break"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("break lock left behind: %v", err)
+	}
+}

@@ -181,10 +181,10 @@ func (cm *costModel) snapshot() costState {
 	return s
 }
 
-// restore replaces the learned state. The class count is structural
+// load replaces the learned state. The class count is structural
 // (derived from the manifest), so a mismatch means the snapshot was
 // taken under a different campaign.
-func (cm *costModel) restore(s costState) error {
+func (cm *costModel) load(s costState) error {
 	if len(s.ClassNs) != len(cm.classNs) {
 		return fmt.Errorf("cost model has %d classes, snapshot %d", len(cm.classNs), len(s.ClassNs))
 	}

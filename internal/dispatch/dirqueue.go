@@ -230,12 +230,12 @@ func (q *DirQueue) UsesLockFiles() bool { return !q.hardLinks }
 // persistent "name.claim" lock file, then the payload lands through an
 // atomic rename, so a reader still never sees a torn file. A claim
 // whose payload never arrived (the claimant crashed in between) goes
-// stale after staleAfter and is broken by the next creator. Breaking a
-// stale claim — or finding it vanished between the open and the stat —
-// is followed by a jittered backoff and a bounded retry: retrying only
-// once could live-lock two racing workers that keep breaking each
-// other's half-built claims in lockstep, and jitter tears the
-// symmetry.
+// stale after staleAfter and is broken by the next creator (see
+// breakStaleClaim). Breaking a stale claim — or finding it vanished
+// between the open and the stat — is followed by a jittered backoff
+// and a bounded retry: retrying only once could live-lock two racing
+// workers that keep breaking each other's half-built claims in
+// lockstep, and jitter tears the symmetry.
 func exclusiveCreate(dir, name string, content []byte, hardLinks bool, staleAfter time.Duration) error {
 	if err := faultpoint.Check("dir.claim"); err != nil {
 		return fmt.Errorf("dispatch: claim %s: %w", name, err)
@@ -291,12 +291,47 @@ func exclusiveCreate(dir, name string, content []byte, hardLinks bool, staleAfte
 		case serr != nil:
 			return fmt.Errorf("dispatch: claim %s: %w", name, serr)
 		case staleAfter > 0 && q0Now().Sub(fi.ModTime()) > staleAfter:
-			os.Remove(claim) // crashed creator; break the claim and retry
+			// Crashed creator: break the claim and retry.
+			if err := breakStaleClaim(final, claim, staleAfter); err != nil {
+				return fmt.Errorf("dispatch: claim %s: %w", name, err)
+			}
 		default:
 			return os.ErrExist // live claim, creator mid-flight
 		}
 	}
 	return os.ErrExist
+}
+
+// breakStaleClaim removes a crashed creator's claim. Breakers take
+// turns under an O_CREATE|O_EXCL "name.claim.break" lock and re-check,
+// under it, that the payload is still absent and the claim still
+// stale: a racer that saw the same stale claim and removed it by name
+// could otherwise delete the fresh claim a faster breaker had just
+// taken, leaving that winner without a claim or handing the name to
+// two owners. A break lock older than staleAfter belongs to a crashed
+// breaker and is removed. A nil return means "retry the claim",
+// whoever broke it.
+func breakStaleClaim(final, claim string, staleAfter time.Duration) error {
+	lock := claim + ".break"
+	f, err := os.OpenFile(lock, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		if !errors.Is(err, os.ErrExist) {
+			return err
+		}
+		if fi, serr := os.Stat(lock); serr == nil && q0Now().Sub(fi.ModTime()) > staleAfter {
+			os.Remove(lock)
+		}
+		return nil // another breaker is at it
+	}
+	f.Close()
+	defer os.Remove(lock)
+	if _, err := os.Stat(final); err == nil {
+		return nil
+	}
+	if fi, err := os.Stat(claim); err == nil && q0Now().Sub(fi.ModTime()) > staleAfter {
+		os.Remove(claim)
+	}
+	return nil
 }
 
 // q0Now exists so exclusiveCreate's stale-claim rule uses wall time
@@ -454,28 +489,24 @@ func (q *DirQueue) isQuarantined(unit int) bool {
 	return ok
 }
 
-// strike records one failure against a unit and quarantines it at the
-// manifest's threshold, returning the resulting strike count and
-// whether the unit is now dead-lettered. All writes are best-effort
-// sidecars: a lost strike costs one extra failure before quarantine,
-// nothing more.
-func (q *DirQueue) strike(unit int, reason string) (int, bool) {
-	ss := q.readStrikes(unit)
-	ss.Strikes++
-	ss.LastFailure = reason
-	if data, err := json.Marshal(ss); err == nil {
+// strike records one failure against a unit under the shared strike
+// rule (Manifest.strike) and reports whether the unit is now
+// dead-lettered. All writes are best-effort sidecars: a lost strike
+// costs one extra failure before quarantine, nothing more.
+func (q *DirQueue) strike(unit int, worker string, expired bool, reported string) bool {
+	strikes, state, reason := q.manifest.strike(q.readStrikes(unit).Strikes, worker, expired, reported)
+	if data, err := json.Marshal(strikeState{Strikes: strikes, LastFailure: reason}); err == nil {
 		_ = replaceAtomic(q.dir, strikeFile(unit), data)
 	}
-	if ss.Strikes < q.manifest.Strikes() {
-		return ss.Strikes, false
+	if state != UnitQuarantined {
+		return false
 	}
-	qs := quarState{Strikes: ss.Strikes, Reason: reason}
-	if data, err := json.Marshal(qs); err == nil {
+	if data, err := json.Marshal(quarState{Strikes: strikes, Reason: reason}); err == nil {
 		// Exclusive: the first quarantiner's record wins; a racer's
 		// os.ErrExist means the unit is already dead-lettered.
 		_ = q.createExclusive(quarFile(unit), data)
 	}
-	return ss.Strikes, true
+	return true
 }
 
 // costStats is the cost_NNNN.json sidecar schema.
@@ -616,7 +647,7 @@ func (q *DirQueue) Acquire(worker string) (Lease, error) {
 				// The expiry we just acted on is a strike; at the
 				// threshold the unit dead-letters instead of being
 				// re-granted.
-				if _, quarantined := q.strike(unit, fmt.Sprintf("lease expired (worker %s)", cur.Worker)); quarantined {
+				if q.strike(unit, cur.Worker, true, "") {
 					continue
 				}
 				if err := q.createExclusive(leaseFile(unit), data); err == nil {
@@ -754,13 +785,10 @@ func (q *DirQueue) Fail(l Lease, reason string) error {
 	if !ok || cur.Token != l.Token {
 		return fmt.Errorf("unit %d: %w", l.Unit, ErrLeaseLost)
 	}
-	if reason == "" {
-		reason = "worker-reported failure"
-	}
 	if err := removeExclusive(q.dir, leaseFile(l.Unit), q.hardLinks); err != nil {
 		return fmt.Errorf("dispatch: fail unit %d: %w", l.Unit, err)
 	}
-	q.strike(l.Unit, fmt.Sprintf("%s (worker %s)", reason, l.Worker))
+	q.strike(l.Unit, l.Worker, false, reason)
 	return nil
 }
 

@@ -185,6 +185,25 @@ func (m Manifest) Strikes() int {
 	return DefaultMaxStrikes
 }
 
+// strike is the strike rule every queue shares: a unit holding prior
+// strikes takes one more, and at m.Strikes() it quarantines instead of
+// returning to the pending pool. The reason charges worker with either
+// an expired lease or the failure it reported (empty for a generic
+// one).
+func (m Manifest) strike(prior int, worker string, expired bool, reported string) (strikes int, state, reason string) {
+	strikes, state = prior+1, UnitPending
+	if strikes >= m.Strikes() {
+		state = UnitQuarantined
+	}
+	switch {
+	case expired:
+		return strikes, state, fmt.Sprintf("lease expired (worker %s)", worker)
+	case reported == "":
+		reported = "worker-reported failure"
+	}
+	return strikes, state, fmt.Sprintf("%s (worker %s)", reported, worker)
+}
+
 // GridSize returns the number of cells on the campaign grid. Fleet
 // campaigns put chip blocks on the module axis, so their grid size is
 // blocks x patterns x sweep x scenarios.

@@ -16,7 +16,7 @@ import (
 // testConfig is a reduced two-manufacturer campaign: 2 modules x 3
 // patterns x 3 tAggON points = 18 cells, seconds to run in full but
 // rich enough to exercise Table 2 and Fig 4.
-func testConfig(t *testing.T) core.StudyConfig {
+func testConfig(t testing.TB) core.StudyConfig {
 	t.Helper()
 	var mods []chipdb.ModuleInfo
 	for _, id := range []string{"S0", "H1"} {

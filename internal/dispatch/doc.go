@@ -51,7 +51,10 @@
 //     and submissions are atomically linked checkpoint files.
 //   - MemQueue is an in-memory queue served over HTTP by
 //     cmd/campaignd; Client speaks the same protocol from the worker
-//     side.
+//     side. Its state changes only by applying records, one per
+//     transition; WALQueue journals them and replays them through the
+//     same apply function, so a reopened queue reaches the live one's
+//     state.
 //
 // Submitted checkpoints are validated against the manifest fingerprint
 // and the unit's shard plan before they are accepted, and the rolling

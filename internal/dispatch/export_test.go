@@ -1,6 +1,9 @@
 package dispatch
 
-import "time"
+import (
+	"encoding/json"
+	"time"
+)
 
 // ForceLockFiles switches an open DirQueue into the O_EXCL lock-file
 // fallback regardless of what the filesystem probe found, so tests
@@ -19,4 +22,11 @@ const (
 	WALFile     = walFile
 	KindSubmit  = kindSubmit
 	KindPartial = kindPartial
+	// NumRecordKinds is the highest journal record kind; kinds run
+	// from 1 to it.
+	NumRecordKinds = kindStrike
 )
+
+// StateJSON returns a WALQueue's full in-memory state in its snapshot
+// encoding, for replay-parity checks.
+func StateJSON(q *WALQueue) ([]byte, error) { return json.Marshal(q.mem.snapshotState()) }

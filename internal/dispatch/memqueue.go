@@ -17,6 +17,15 @@ import (
 // queue's clock on every call, so no background sweeper goroutine is
 // needed.
 //
+// The record is the transition: every mutator validates its request,
+// decides the outcome (a minted token and expiry, a strike count, plan
+// deltas), and commits it as a record (see record) whose apply is the
+// only code that changes the queue's state. WALQueue journals those
+// same records and replays them through the same apply, so a reopened
+// queue reaches the live one's state by construction. The one change
+// without a record is the lazy expiry sweep, which is derived from the
+// expiry timestamps already on record.
+//
 // MemQueue is the coordinator-ful mode, so it owns the campaign's unit
 // table outright and re-plans it as cost observations arrive: after a
 // submission reports its elapsed time, the still-pending units without
@@ -34,31 +43,16 @@ type MemQueue struct {
 	mu    sync.Mutex
 	units []memUnit
 	cost  *costModel
-	// replanDirty marks that the cost model changed since the last
-	// re-plan attempt.
+	// replanDirty marks a re-plan as due: a timed submit's record sets
+	// it, and only an applied plan record clears it.
 	replanDirty bool
 	// canceled stops the campaign: every worker-facing mutation fails
 	// with ErrCanceled; Status and Merged keep answering so operators
 	// can inspect and render what completed.
 	canceled bool
-	// sink, when non-nil, receives every state transition as it
-	// commits (called with mu held) — WALQueue's journaling hook.
-	// Lazy expiry sweeps are deliberately not journaled: they are
-	// derived from the expiry timestamps already on record.
-	sink journalSink
-}
-
-// journalSink observes MemQueue state transitions for durable
-// journaling. Restore entry points (restore*) bypass it, so replaying
-// a journal never re-journals.
-type journalSink interface {
-	journalPlan(deltas []PlanDelta)
-	journalGrant(l Lease, stolen bool)
-	journalHeartbeat(unit int, token string, expires time.Time)
-	journalSubmit(unit int, worker string, cp *resultio.Checkpoint, elapsedNs int64)
-	journalPartial(unit int, token string, cp *resultio.Checkpoint)
-	journalStrike(unit, strikes int, state, reason string)
-	journalCancel()
+	// journal, when non-nil, receives every committed record (called
+	// with mu held): WALQueue's hook.
+	journal func(record)
 }
 
 // PlanDelta is one slot rewrite of a re-planning pass: the unit's new
@@ -70,19 +64,22 @@ type PlanDelta struct {
 	Cells []int  `json:"cells,omitempty"`
 }
 
+// memUnit is one unit slot, in the encoding compaction snapshots use.
+// Cell sets and checkpoints are replaced, never edited in place, so
+// copies of a slot may share them.
 type memUnit struct {
-	state   string
-	cells   []int // grid indices, canonical order
-	worker  string
-	token   string
-	expires time.Time
-	cp      *resultio.Checkpoint
-	partial *resultio.Checkpoint
-	// strikes counts lease expiries that led to a re-grant plus
+	State   string               `json:"state"`
+	Cells   []int                `json:"cells,omitempty"` // grid indices, canonical order
+	Worker  string               `json:"worker,omitempty"`
+	Token   string               `json:"token,omitempty"`
+	Expires time.Time            `json:"expires"`
+	Done    *resultio.Checkpoint `json:"done,omitempty"`
+	Partial *resultio.Checkpoint `json:"partial,omitempty"`
+	// Strikes counts lease expiries that led to a re-grant plus
 	// worker-reported failures; at Manifest.Strikes() the unit
-	// quarantines. lastFailure is the latest strike's reason.
-	strikes     int
-	lastFailure string
+	// quarantines. LastFailure is the latest strike's reason.
+	Strikes     int    `json:"strikes,omitempty"`
+	LastFailure string `json:"lastFailure,omitempty"`
 }
 
 // UnitRetired marks a slot emptied by re-planning (its cells moved to
@@ -124,8 +121,7 @@ func NewMemQueue(m Manifest, opts ...MemQueueOption) (*MemQueue, error) {
 		cost:       newCostModel(m, cellsByIdx),
 	}
 	for i := range q.units {
-		q.units[i].state = UnitPending
-		q.units[i].cells = m.UnitCells(i)
+		q.units[i] = memUnit{State: UnitPending, Cells: m.UnitCells(i)}
 	}
 	for _, o := range opts {
 		o(q)
@@ -136,6 +132,18 @@ func NewMemQueue(m Manifest, opts ...MemQueueOption) (*MemQueue, error) {
 // Manifest implements Queue.
 func (q *MemQueue) Manifest() (Manifest, error) { return q.manifest, nil }
 
+// commit applies a decided record and hands it to the journal hook;
+// callers hold q.mu.
+func (q *MemQueue) commit(r record) error {
+	if err := r.apply(q); err != nil {
+		return fmt.Errorf("dispatch: apply record kind %d: %w", r.kind(), err)
+	}
+	if q.journal != nil {
+		q.journal(r)
+	}
+	return nil
+}
+
 // sweep re-queues expired leases; callers hold q.mu. The worker and
 // token are kept: until the unit is actually re-granted (Acquire mints
 // a fresh token), the late holder may still revive its lease with a
@@ -144,8 +152,8 @@ func (q *MemQueue) Manifest() (Manifest, error) { return q.manifest, nil }
 func (q *MemQueue) sweep(now time.Time) {
 	for i := range q.units {
 		u := &q.units[i]
-		if u.state == UnitLeased && now.After(u.expires) {
-			u.state = UnitPending
+		if u.State == UnitLeased && now.After(u.Expires) {
+			u.State = UnitPending
 		}
 	}
 }
@@ -161,12 +169,13 @@ func (q *MemQueue) sweep(now time.Time) {
 // own unit. The bin size targets the campaign-wide expected cost
 // divided by the manifest's unit count — a fixed point of the
 // re-planning itself (targeting observed unit durations would chase
-// the units it just resized into ever-smaller pieces).
-func (q *MemQueue) replan() {
+// the units it just resized into ever-smaller pieces). A pass with
+// nothing to re-plan commits no record and so leaves the re-plan due,
+// exactly as replay leaves it.
+func (q *MemQueue) replan() error {
 	if !q.adapt || !q.replanDirty || !q.cost.observed() {
-		return
+		return nil
 	}
-	q.replanDirty = false
 	var pool []int  // slot indices participating
 	var cells []int // their pooled grid cells
 	for i := range q.units {
@@ -180,13 +189,13 @@ func (q *MemQueue) replan() {
 		// are excluded too: redistributing a failing unit's cells would
 		// launder its strike history into fresh zero-strike units and
 		// defeat quarantine.
-		if u.state == UnitPending && u.partial == nil && u.token == "" && u.strikes == 0 {
+		if u.State == UnitPending && u.Partial == nil && u.Token == "" && u.Strikes == 0 {
 			pool = append(pool, i)
-			cells = append(cells, u.cells...)
+			cells = append(cells, u.Cells...)
 		}
 	}
 	if len(pool) < 1 || len(cells) < 2 {
-		return
+		return nil
 	}
 	total := q.cost.unitCost(cells)
 	var campaign float64
@@ -234,20 +243,15 @@ func (q *MemQueue) replan() {
 	var deltas []PlanDelta
 	for i, slot := range pool {
 		if i < len(binCells) {
-			q.units[slot] = memUnit{state: UnitPending, cells: binCells[i]}
 			deltas = append(deltas, PlanDelta{Unit: slot, State: UnitPending, Cells: binCells[i]})
 		} else {
-			q.units[slot] = memUnit{state: UnitRetired}
 			deltas = append(deltas, PlanDelta{Unit: slot, State: UnitRetired})
 		}
 	}
 	for i := len(pool); i < len(binCells); i++ {
-		deltas = append(deltas, PlanDelta{Unit: len(q.units), State: UnitPending, Cells: binCells[i]})
-		q.units = append(q.units, memUnit{state: UnitPending, cells: binCells[i]})
+		deltas = append(deltas, PlanDelta{Unit: len(q.units) + i - len(pool), State: UnitPending, Cells: binCells[i]})
 	}
-	if q.sink != nil {
-		q.sink.journalPlan(deltas)
-	}
+	return q.commit(&recPlan{Deltas: deltas})
 }
 
 // Acquire implements Queue. Among pending units the most expensive one
@@ -262,19 +266,21 @@ func (q *MemQueue) Acquire(worker string) (Lease, error) {
 	}
 	now := q.now()
 	q.sweep(now)
-	q.replan()
+	if err := q.replan(); err != nil {
+		return Lease{}, err
+	}
 	for {
 		best, terminal, live := -1, 0, 0
 		var bestCost float64
 		for i := range q.units {
 			u := &q.units[i]
-			switch u.state {
+			switch u.State {
 			case UnitRetired:
 				continue
 			case UnitDone, UnitQuarantined, UnitDropped:
 				terminal++
 			case UnitPending:
-				c := q.cost.unitCost(u.cells)
+				c := q.cost.unitCost(u.Cells)
 				if best < 0 || c > bestCost {
 					best, bestCost = i, c
 				}
@@ -288,48 +294,49 @@ func (q *MemQueue) Acquire(worker string) (Lease, error) {
 			return Lease{}, ErrNoWork
 		}
 		u := &q.units[best]
-		if u.token != "" {
-			// An expired predecessor held the unit; stealing it is a
-			// strike. At the threshold the unit quarantines instead of
-			// being re-granted, and the scan re-runs for the next
-			// candidate.
-			u.strikes++
-			u.lastFailure = fmt.Sprintf("lease expired (worker %s)", u.worker)
-			if u.strikes >= q.manifest.Strikes() {
-				u.state = UnitQuarantined
-				u.worker, u.token = "", ""
-				if q.sink != nil {
-					q.sink.journalStrike(best, u.strikes, UnitQuarantined, u.lastFailure)
-				}
+		stolen := u.Token != "" // an expired predecessor held the unit
+		if stolen {
+			// Stealing is a strike. Its record releases the lease, so the
+			// reason is read first; at the threshold the unit quarantines
+			// instead of being re-granted, and the scan re-runs for the
+			// next candidate.
+			strikes, state, reason := q.manifest.strike(u.Strikes, u.Worker, true, "")
+			if err := q.commit(&recStrike{Unit: best, Strikes: strikes, State: state, Reason: reason}); err != nil {
+				return Lease{}, err
+			}
+			if state == UnitQuarantined {
 				continue
 			}
-			if q.sink != nil {
-				q.sink.journalStrike(best, u.strikes, UnitPending, u.lastFailure)
-			}
 		}
-		stolen := u.token != "" // an expired predecessor held it
-		u.state = UnitLeased
-		u.worker = worker
-		u.token = newToken() // invalidates any expired holder's lease
-		u.expires = now.Add(q.manifest.LeaseTTL())
 		l := Lease{
-			Unit: best, Worker: worker, Token: u.token, Expires: u.expires,
-			Cells: append([]int(nil), u.cells...),
+			Unit: best, Worker: worker,
+			Token:   newToken(), // invalidates any expired holder's lease
+			Expires: now.Add(q.manifest.LeaseTTL()),
+			Cells:   append([]int(nil), u.Cells...),
 		}
-		if q.sink != nil {
-			q.sink.journalGrant(l, stolen)
+		if err := q.commit(&recGrant{Lease: l, stolen: stolen}); err != nil {
+			return Lease{}, err
 		}
 		return l, nil
 	}
 }
 
+// slot bounds-checks a unit index; callers hold q.mu. The error reads
+// "<what> for unit N of M".
+func (q *MemQueue) slot(unit int, what string) (*memUnit, error) {
+	if unit < 0 || unit >= len(q.units) {
+		return nil, fmt.Errorf("%s for unit %d of %d", what, unit, len(q.units))
+	}
+	return &q.units[unit], nil
+}
+
 // unitFor bounds-checks a lease's slot; callers hold q.mu.
 func (q *MemQueue) unitFor(l Lease, op string) (*memUnit, error) {
-	if l.Unit < 0 || l.Unit >= len(q.units) {
-		return nil, fmt.Errorf("dispatch: %s for unit %d of %d", op, l.Unit, len(q.units))
+	u, err := q.slot(l.Unit, op)
+	if err != nil {
+		return nil, err
 	}
-	u := &q.units[l.Unit]
-	if u.state == UnitRetired {
+	if u.State == UnitRetired {
 		return nil, fmt.Errorf("unit %d: %w", l.Unit, ErrLeaseLost)
 	}
 	return u, nil
@@ -348,19 +355,14 @@ func (q *MemQueue) Heartbeat(l Lease) error {
 	}
 	now := q.now()
 	q.sweep(now)
-	u, err := q.unitFor(l, "heartbeat")
+	u, err := q.unitFor(l, "dispatch: heartbeat")
 	if err != nil {
 		return err
 	}
-	if u.state == UnitDone || u.token != l.Token {
+	if u.State == UnitDone || u.Token != l.Token {
 		return fmt.Errorf("unit %d: %w", l.Unit, ErrLeaseLost)
 	}
-	u.state = UnitLeased
-	u.expires = now.Add(q.manifest.LeaseTTL())
-	if q.sink != nil {
-		q.sink.journalHeartbeat(l.Unit, u.token, u.expires)
-	}
-	return nil
+	return q.commit(&recHeartbeat{Unit: l.Unit, Token: u.Token, Expires: now.Add(q.manifest.LeaseTTL())})
 }
 
 // Submit implements Queue. A submit under a lease that expired but was
@@ -373,40 +375,28 @@ func (q *MemQueue) Submit(l Lease, cp *resultio.Checkpoint, elapsed time.Duratio
 		return fmt.Errorf("dispatch: submit: %w", ErrCanceled)
 	}
 	q.sweep(q.now())
-	u, err := q.unitFor(l, "submit")
+	u, err := q.unitFor(l, "dispatch: submit")
 	if err != nil {
 		return err
 	}
-	switch u.state {
+	switch u.State {
 	case UnitDone:
 		return fmt.Errorf("unit %d: %w", l.Unit, ErrDuplicateSubmit)
 	case UnitDropped:
 		// The operator discarded the unit; its late result is refused.
 		return fmt.Errorf("unit %d: %w", l.Unit, ErrLeaseLost)
 	case UnitLeased:
-		if u.token != l.Token {
+		if u.Token != l.Token {
 			return fmt.Errorf("unit %d: %w", l.Unit, ErrLeaseLost)
 		}
 		// A late submit for a pending (expired, not re-granted) or even a
 		// quarantined unit is accepted: the work is deterministic and
 		// valid, and completing beats re-running or staying dead-lettered.
 	}
-	if err := validateUnitCheckpoint(q.manifest, q.grid, l.Unit, u.cells, cp, false); err != nil {
+	if err := validateUnitCheckpoint(q.manifest, q.grid, l.Unit, u.Cells, cp, false); err != nil {
 		return err
 	}
-	u.state = UnitDone
-	u.worker = l.Worker
-	u.token = ""
-	u.cp = cp
-	u.partial = nil
-	q.cost.observe(u.cells, elapsed.Nanoseconds())
-	if elapsed > 0 {
-		q.replanDirty = true
-	}
-	if q.sink != nil {
-		q.sink.journalSubmit(l.Unit, l.Worker, cp, elapsed.Nanoseconds())
-	}
-	return nil
+	return q.commit(&recSubmit{Unit: l.Unit, Worker: l.Worker, ElapsedNs: elapsed.Nanoseconds(), Checkpoint: cp})
 }
 
 // SavePartial implements Queue: merge the lease's newly finished cells
@@ -419,21 +409,17 @@ func (q *MemQueue) SavePartial(l Lease, cp *resultio.Checkpoint) error {
 		return fmt.Errorf("dispatch: save partial: %w", ErrCanceled)
 	}
 	q.sweep(q.now())
-	u, err := q.unitFor(l, "save partial")
+	u, err := q.unitFor(l, "dispatch: save partial")
 	if err != nil {
 		return err
 	}
-	if u.state == UnitDone || u.token != l.Token {
+	if u.State == UnitDone || u.Token != l.Token {
 		return fmt.Errorf("unit %d: %w", l.Unit, ErrLeaseLost)
 	}
-	if err := validateUnitCheckpoint(q.manifest, q.grid, l.Unit, u.cells, cp, true); err != nil {
+	if err := validateUnitCheckpoint(q.manifest, q.grid, l.Unit, u.Cells, cp, true); err != nil {
 		return err
 	}
-	u.partial = resultio.MergePartial(u.partial, cp)
-	if q.sink != nil {
-		q.sink.journalPartial(l.Unit, u.token, cp)
-	}
-	return nil
+	return q.commit(&recPartial{Unit: l.Unit, Token: u.Token, Checkpoint: cp})
 }
 
 // Fail implements Queue: a worker reports that its unit's work errored
@@ -448,28 +434,15 @@ func (q *MemQueue) Fail(l Lease, reason string) error {
 		return fmt.Errorf("dispatch: fail: %w", ErrCanceled)
 	}
 	q.sweep(q.now())
-	u, err := q.unitFor(l, "fail")
+	u, err := q.unitFor(l, "dispatch: fail")
 	if err != nil {
 		return err
 	}
-	if u.state == UnitDone || u.token != l.Token {
+	if u.State == UnitDone || u.Token != l.Token {
 		return fmt.Errorf("unit %d: %w", l.Unit, ErrLeaseLost)
 	}
-	if reason == "" {
-		reason = "worker-reported failure"
-	}
-	u.strikes++
-	u.lastFailure = fmt.Sprintf("%s (worker %s)", reason, l.Worker)
-	u.worker, u.token = "", ""
-	state := UnitPending
-	if u.strikes >= q.manifest.Strikes() {
-		state = UnitQuarantined
-	}
-	u.state = state
-	if q.sink != nil {
-		q.sink.journalStrike(l.Unit, u.strikes, state, u.lastFailure)
-	}
-	return nil
+	strikes, state, text := q.manifest.strike(u.Strikes, l.Worker, false, reason)
+	return q.commit(&recStrike{Unit: l.Unit, Strikes: strikes, State: state, Reason: text})
 }
 
 // Quarantined implements Queue: list the dead-letter units.
@@ -479,14 +452,14 @@ func (q *MemQueue) Quarantined() ([]QuarantineEntry, error) {
 	var out []QuarantineEntry
 	for i := range q.units {
 		u := &q.units[i]
-		if u.state != UnitQuarantined && u.state != UnitDropped {
+		if u.State != UnitQuarantined && u.State != UnitDropped {
 			continue
 		}
 		out = append(out, QuarantineEntry{
-			Unit: i, State: u.state, Strikes: u.strikes,
-			LastFailure: u.lastFailure,
-			Cells:       append([]int(nil), u.cells...),
-			HasPartial:  u.partial != nil,
+			Unit: i, State: u.State, Strikes: u.Strikes,
+			LastFailure: u.LastFailure,
+			Cells:       append([]int(nil), u.Cells...),
+			HasPartial:  u.Partial != nil,
 		})
 	}
 	return out, nil
@@ -501,19 +474,14 @@ func (q *MemQueue) Requeue(unit int) error {
 	if q.canceled {
 		return fmt.Errorf("dispatch: requeue: %w", ErrCanceled)
 	}
-	if unit < 0 || unit >= len(q.units) {
-		return fmt.Errorf("dispatch: requeue for unit %d of %d", unit, len(q.units))
+	u, err := q.slot(unit, "dispatch: requeue")
+	if err != nil {
+		return err
 	}
-	u := &q.units[unit]
-	if u.state != UnitQuarantined && u.state != UnitDropped {
-		return fmt.Errorf("dispatch: requeue unit %d: state %s (want quarantined or dropped)", unit, u.state)
+	if u.State != UnitQuarantined && u.State != UnitDropped {
+		return fmt.Errorf("dispatch: requeue unit %d: state %s (want quarantined or dropped)", unit, u.State)
 	}
-	u.state = UnitPending
-	u.strikes, u.lastFailure = 0, ""
-	if q.sink != nil {
-		q.sink.journalStrike(unit, 0, UnitPending, "")
-	}
-	return nil
+	return q.commit(&recStrike{Unit: unit, State: UnitPending})
 }
 
 // Drop implements Queue: permanently discard a quarantined unit. Its
@@ -524,18 +492,14 @@ func (q *MemQueue) Drop(unit int) error {
 	if q.canceled {
 		return fmt.Errorf("dispatch: drop: %w", ErrCanceled)
 	}
-	if unit < 0 || unit >= len(q.units) {
-		return fmt.Errorf("dispatch: drop for unit %d of %d", unit, len(q.units))
+	u, err := q.slot(unit, "dispatch: drop")
+	if err != nil {
+		return err
 	}
-	u := &q.units[unit]
-	if u.state != UnitQuarantined {
-		return fmt.Errorf("dispatch: drop unit %d: state %s (want quarantined)", unit, u.state)
+	if u.State != UnitQuarantined {
+		return fmt.Errorf("dispatch: drop unit %d: state %s (want quarantined)", unit, u.State)
 	}
-	u.state = UnitDropped
-	if q.sink != nil {
-		q.sink.journalStrike(unit, u.strikes, UnitDropped, u.lastFailure)
-	}
-	return nil
+	return q.commit(&recStrike{Unit: unit, Strikes: u.Strikes, State: UnitDropped, Reason: u.LastFailure})
 }
 
 // Cancel stops the campaign: subsequent Acquire, Heartbeat, Submit
@@ -548,11 +512,7 @@ func (q *MemQueue) Cancel() error {
 	if q.canceled {
 		return nil
 	}
-	q.canceled = true
-	if q.sink != nil {
-		q.sink.journalCancel()
-	}
-	return nil
+	return q.commit(&recCancel{})
 }
 
 // Canceled reports whether the campaign was canceled.
@@ -567,14 +527,14 @@ func (q *MemQueue) Canceled() bool {
 func (q *MemQueue) LoadPartial(l Lease) (*resultio.Checkpoint, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	u, err := q.unitFor(l, "load partial")
+	u, err := q.unitFor(l, "dispatch: load partial")
 	if err != nil {
 		return nil, err
 	}
-	if u.token != l.Token {
+	if u.Token != l.Token {
 		return nil, fmt.Errorf("unit %d: %w", l.Unit, ErrLeaseLost)
 	}
-	return u.partial, nil
+	return u.Partial, nil
 }
 
 // Status implements Queue. Retired slots (emptied by re-planning) are
@@ -587,25 +547,25 @@ func (q *MemQueue) Status() (Status, error) {
 	st := Status{}
 	for i := range q.units {
 		u := &q.units[i]
-		if u.state == UnitRetired {
+		if u.State == UnitRetired {
 			continue
 		}
 		st.Units++
 		us := UnitStatus{
-			Unit: i, State: u.state, Worker: u.worker,
-			CellCount:  len(u.cells),
-			HasPartial: u.partial != nil,
-			Strikes:    u.strikes,
+			Unit: i, State: u.State, Worker: u.Worker,
+			CellCount:  len(u.Cells),
+			HasPartial: u.Partial != nil,
+			Strikes:    u.Strikes,
 		}
 		if q.cost.observed() {
-			us.EstCostMs = int64(q.cost.unitCost(u.cells) / 1e6)
+			us.EstCostMs = int64(q.cost.unitCost(u.Cells) / 1e6)
 		}
-		switch u.state {
+		switch u.State {
 		case UnitPending:
 			st.Pending++
 		case UnitLeased:
 			st.Leased++
-			us.ExpiresInMs = u.expires.Sub(now).Milliseconds()
+			us.ExpiresInMs = u.Expires.Sub(now).Milliseconds()
 		case UnitDone:
 			st.Done++
 		case UnitQuarantined:
@@ -625,8 +585,8 @@ func (q *MemQueue) Merged() (*resultio.Checkpoint, error) {
 	q.mu.Lock()
 	var cps []*resultio.Checkpoint
 	for i := range q.units {
-		if q.units[i].state == UnitDone {
-			cps = append(cps, q.units[i].cp)
+		if q.units[i].State == UnitDone {
+			cps = append(cps, q.units[i].Done)
 		}
 	}
 	q.mu.Unlock()

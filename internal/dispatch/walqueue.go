@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,15 +22,22 @@ import (
 // partials, re-planned unit boundaries and the learned cost model all
 // survive.
 //
-// Journal discipline: a mutation is applied to the in-memory state,
-// its records are appended to the log, and — for everything except
-// heartbeats — fsynced, all before the caller sees a result. Nothing
-// externally visible (a granted lease, an accepted submit) can
-// therefore be forgotten by a restart. Heartbeats are journaled but
-// not individually fsynced: losing the tail of a heartbeat run merely
-// re-opens the lease to expiry-based stealing, which the at-least-
-// once execution model already tolerates, and it spares the journal
-// one fsync per worker per TTL/3.
+// Journal discipline: the record is the transition. Every operation
+// runs MemQueue's decide-then-commit code; each record it commits (see
+// record) is applied to the in-memory state and staged, and the
+// operation ends with one append of its staged records and — unless
+// they are all heartbeats — one fsync, before the caller sees a
+// result. Nothing externally visible (a granted lease, an accepted
+// submit) can therefore be forgotten by a restart. Applying before
+// appending lets an operation's later steps see its earlier ones
+// (Acquire grants from the table its own re-plan just rewrote) for one
+// fsync per operation rather than per record. Reopening decodes the
+// same records and runs them through the same apply, so live
+// operations and replay cannot drift apart. Heartbeats are journaled
+// but not individually fsynced: losing the tail of a heartbeat run
+// merely re-opens the lease to expiry-based stealing, which the
+// at-least-once execution model already tolerates, and it spares the
+// journal one fsync per worker per TTL/3.
 //
 // The log is compacted by atomic snapshot+reset: the full queue state
 // is written to a sibling snapshot file (temp+fsync+rename), then the
@@ -52,8 +60,8 @@ type WALQueue struct {
 	compactEvery int
 	sinceCompact int
 
-	// buf stages the records of the mutation in flight (filled by the
-	// journalSink callbacks, drained by flushLocked).
+	// buf stages the records of the operation in flight (filled by
+	// stage, drained by flushLocked).
 	buf    []walRec
 	bufErr error
 
@@ -65,60 +73,10 @@ type WALQueue struct {
 	closed bool
 }
 
+// walRec is one encoded record awaiting its flush.
 type walRec struct {
 	kind    uint8
 	payload []byte
-	durable bool
-}
-
-// WAL record kinds: every queue state transition has one.
-const (
-	kindInit      uint8 = 1 // campaign manifest (first record of a fresh log)
-	kindPlan      uint8 = 2 // re-planned unit boundaries (slot deltas)
-	kindGrant     uint8 = 3 // lease granted on a never-leased unit
-	kindSteal     uint8 = 4 // lease granted over an expired predecessor
-	kindHeartbeat uint8 = 5 // lease extended
-	kindSubmit    uint8 = 6 // unit checkpoint accepted
-	kindPartial   uint8 = 7 // intra-unit checkpoint stored
-	kindCancel    uint8 = 8 // campaign canceled
-	kindStrike    uint8 = 9 // unit strike / quarantine / requeue / drop
-)
-
-type recInit struct {
-	Manifest Manifest `json:"manifest"`
-}
-type recPlan struct {
-	Deltas []PlanDelta `json:"deltas"`
-}
-type recGrant struct {
-	Lease Lease `json:"lease"`
-}
-type recHeartbeat struct {
-	Unit    int       `json:"unit"`
-	Token   string    `json:"token"`
-	Expires time.Time `json:"expires"`
-}
-type recSubmit struct {
-	Unit       int                  `json:"unit"`
-	Worker     string               `json:"worker"`
-	ElapsedNs  int64                `json:"elapsedNs,omitempty"`
-	Checkpoint *resultio.Checkpoint `json:"checkpoint"`
-}
-type recPartial struct {
-	Unit       int                  `json:"unit"`
-	Token      string               `json:"token"`
-	Checkpoint *resultio.Checkpoint `json:"checkpoint"`
-}
-
-// recStrike carries the *resulting* strike state of a unit — expiry
-// strikes, worker-reported failures, operator requeues (strikes back
-// to 0, state pending) and drops all journal as this one kind, so
-// replay is pure state application.
-type recStrike struct {
-	Unit    int    `json:"unit"`
-	Strikes int    `json:"strikes"`
-	State   string `json:"state"`
-	Reason  string `json:"reason,omitempty"`
 }
 
 // walSnapshot is the compaction snapshot payload.
@@ -182,7 +140,7 @@ func CreateWALQueue(dir string, m Manifest, opts ...WALQueueOption) (*WALQueue, 
 	for _, o := range opts {
 		o(q)
 	}
-	payload, err := json.Marshal(recInit{Manifest: m})
+	payload, err := json.Marshal(&recInit{Manifest: m})
 	if err != nil {
 		log.Close()
 		return nil, err
@@ -197,7 +155,7 @@ func CreateWALQueue(dir string, m Manifest, opts ...WALQueueOption) (*WALQueue, 
 			return nil, err
 		}
 	}
-	mem.sink = q
+	mem.journal = q.stage
 	return q, nil
 }
 
@@ -259,123 +217,70 @@ func OpenWALQueue(dir string, opts ...WALQueueOption) (*WALQueue, error) {
 		o(q)
 	}
 	if haveSnap {
-		if err := mem.restoreState(snap.State); err != nil {
+		if err := mem.loadState(snap.State); err != nil {
 			log.Close()
 			return nil, fmt.Errorf("%w: %s: %v", wal.ErrBadSnapshot, dir, err)
 		}
 	}
-	for _, rec := range recs {
-		if rec.Seq <= snapSeq {
-			continue // already folded into the snapshot
-		}
-		if err := q.apply(rec); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("%w: %s: replay seq %d: %v", wal.ErrBadRecord, dir, rec.Seq, err)
-		}
+	if err := mem.replay(recs, snapSeq); err != nil {
+		log.Close()
+		return nil, fmt.Errorf("%w: %s: %v", wal.ErrBadRecord, dir, err)
 	}
-	mem.sink = q
+	mem.journal = q.stage
 	return q, nil
 }
 
-// apply replays one journal record onto the in-memory state.
-func (q *WALQueue) apply(rec wal.Record) error {
-	switch rec.Kind {
-	case kindInit:
-		var init recInit
-		if err := json.Unmarshal(rec.Payload, &init); err != nil {
-			return err
+// replay applies the journal records after seq `after` (those the
+// snapshot did not fold in) through the same apply live operations
+// use, with the queue lock held as they hold it.
+func (q *MemQueue) replay(recs []wal.Record, after uint64) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for _, rec := range recs {
+		if rec.Seq <= after {
+			continue
 		}
-		if init.Manifest.Fingerprint != q.mem.manifest.Fingerprint {
-			return fmt.Errorf("init fingerprint %s vs %s", init.Manifest.Fingerprint, q.mem.manifest.Fingerprint)
+		r, err := decodeRecord(rec.Kind, rec.Payload)
+		if err == nil {
+			err = r.apply(q)
 		}
-		return nil
-	case kindPlan:
-		var r recPlan
-		if err := json.Unmarshal(rec.Payload, &r); err != nil {
-			return err
+		if err != nil {
+			return fmt.Errorf("replay seq %d: %v", rec.Seq, err)
 		}
-		return q.mem.restorePlan(r.Deltas)
-	case kindGrant, kindSteal:
-		var r recGrant
-		if err := json.Unmarshal(rec.Payload, &r); err != nil {
-			return err
-		}
-		return q.mem.restoreGrant(r.Lease)
-	case kindHeartbeat:
-		var r recHeartbeat
-		if err := json.Unmarshal(rec.Payload, &r); err != nil {
-			return err
-		}
-		return q.mem.restoreHeartbeat(r.Unit, r.Token, r.Expires)
-	case kindSubmit:
-		var r recSubmit
-		if err := json.Unmarshal(rec.Payload, &r); err != nil {
-			return err
-		}
-		return q.mem.restoreSubmit(r.Unit, r.Worker, r.Checkpoint, r.ElapsedNs)
-	case kindPartial:
-		var r recPartial
-		if err := json.Unmarshal(rec.Payload, &r); err != nil {
-			return err
-		}
-		return q.mem.restorePartial(r.Unit, r.Token, r.Checkpoint)
-	case kindCancel:
-		return q.mem.restoreCancel()
-	case kindStrike:
-		var r recStrike
-		if err := json.Unmarshal(rec.Payload, &r); err != nil {
-			return err
-		}
-		return q.mem.restoreStrike(r.Unit, r.Strikes, r.State, r.Reason)
-	default:
-		return fmt.Errorf("unknown record kind %d", rec.Kind)
 	}
+	return nil
 }
 
-// journalSink implementation: stage records while the MemQueue
-// mutation holds its lock; the public operation flushes them before
-// acknowledging. All staging runs under q.mu (every path into q.mem
-// goes through a WALQueue method).
-func (q *WALQueue) stage(kind uint8, v any, durable bool) {
-	payload, err := json.Marshal(v)
+// stage is the MemQueue's journal hook: it encodes each committed
+// record for the flush that ends the operation. It runs under q.mu,
+// which mutate holds around every MemQueue mutator.
+func (q *WALQueue) stage(r record) {
+	payload, err := json.Marshal(r)
 	if err != nil {
-		q.bufErr = fmt.Errorf("dispatch: encode journal record kind %d: %w", kind, err)
+		q.bufErr = fmt.Errorf("dispatch: encode journal record kind %d: %w", r.kind(), err)
 		return
 	}
-	q.buf = append(q.buf, walRec{kind: kind, payload: payload, durable: durable})
+	q.buf = append(q.buf, walRec{kind: r.kind(), payload: payload})
 }
 
-func (q *WALQueue) journalPlan(deltas []PlanDelta) { q.stage(kindPlan, recPlan{Deltas: deltas}, true) }
-func (q *WALQueue) journalGrant(l Lease, stolen bool) {
-	kind := kindGrant
-	if stolen {
-		kind = kindSteal
-	}
-	q.stage(kind, recGrant{Lease: l}, true)
-}
-func (q *WALQueue) journalHeartbeat(unit int, token string, expires time.Time) {
-	q.stage(kindHeartbeat, recHeartbeat{Unit: unit, Token: token, Expires: expires}, false)
-}
-func (q *WALQueue) journalSubmit(unit int, worker string, cp *resultio.Checkpoint, elapsedNs int64) {
-	q.stage(kindSubmit, recSubmit{Unit: unit, Worker: worker, ElapsedNs: elapsedNs, Checkpoint: cp}, true)
-}
-func (q *WALQueue) journalPartial(unit int, token string, cp *resultio.Checkpoint) {
-	q.stage(kindPartial, recPartial{Unit: unit, Token: token, Checkpoint: cp}, true)
-}
-func (q *WALQueue) journalCancel() { q.stage(kindCancel, nil, true) }
-func (q *WALQueue) journalStrike(unit, strikes int, state, reason string) {
-	q.stage(kindStrike, recStrike{Unit: unit, Strikes: strikes, State: state, Reason: reason}, true)
-}
-
-// usable gates mutations; callers hold q.mu.
-func (q *WALQueue) usable() error {
+// mutate runs one MemQueue mutator under the journal discipline:
+// refuse a closed or poisoned queue, let op apply and stage its
+// records, then flush them before returning op's result.
+func (q *WALQueue) mutate(op func() error) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
 		return fmt.Errorf("dispatch: queue %s: %w", q.dir, wal.ErrClosed)
 	}
 	if q.failed != nil {
 		return fmt.Errorf("dispatch: queue %s: journal failed earlier: %w", q.dir, q.failed)
 	}
-	return nil
+	q.buf, q.bufErr = q.buf[:0], nil
+	err := op()
+	if ferr := q.flushLocked(); ferr != nil {
+		return ferr
+	}
+	return err
 }
 
 // flushLocked appends the staged records, fsyncing when any demands
@@ -396,7 +301,7 @@ func (q *WALQueue) flushLocked() error {
 			q.failed = err
 			return err
 		}
-		durable = durable || r.durable
+		durable = durable || r.kind != kindHeartbeat
 	}
 	if durable && !q.nosync {
 		if err := q.log.Sync(); err != nil {
@@ -459,80 +364,38 @@ func (q *WALQueue) Manifest() (Manifest, error) { return q.mem.Manifest() }
 // Acquire implements Queue; the grant (and any re-plan it triggered)
 // is journaled and fsynced before the lease is returned.
 func (q *WALQueue) Acquire(worker string) (Lease, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.usable(); err != nil {
+	var l Lease
+	err := q.mutate(func() (err error) {
+		l, err = q.mem.Acquire(worker)
+		return err
+	})
+	if err != nil {
 		return Lease{}, err
 	}
-	q.buf, q.bufErr = q.buf[:0], nil
-	l, err := q.mem.Acquire(worker)
-	if ferr := q.flushLocked(); ferr != nil {
-		return Lease{}, ferr
-	}
-	return l, err
+	return l, nil
 }
 
 // Heartbeat implements Queue; journaled without an fsync of its own
 // (see the type comment for why that is safe).
 func (q *WALQueue) Heartbeat(l Lease) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.usable(); err != nil {
-		return err
-	}
-	q.buf, q.bufErr = q.buf[:0], nil
-	err := q.mem.Heartbeat(l)
-	if ferr := q.flushLocked(); ferr != nil {
-		return ferr
-	}
-	return err
+	return q.mutate(func() error { return q.mem.Heartbeat(l) })
 }
 
 // Submit implements Queue; the accepted checkpoint is journaled and
 // fsynced before the worker hears "accepted".
 func (q *WALQueue) Submit(l Lease, cp *resultio.Checkpoint, elapsed time.Duration) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.usable(); err != nil {
-		return err
-	}
-	q.buf, q.bufErr = q.buf[:0], nil
-	err := q.mem.Submit(l, cp, elapsed)
-	if ferr := q.flushLocked(); ferr != nil {
-		return ferr
-	}
-	return err
+	return q.mutate(func() error { return q.mem.Submit(l, cp, elapsed) })
 }
 
 // SavePartial implements Queue.
 func (q *WALQueue) SavePartial(l Lease, cp *resultio.Checkpoint) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.usable(); err != nil {
-		return err
-	}
-	q.buf, q.bufErr = q.buf[:0], nil
-	err := q.mem.SavePartial(l, cp)
-	if ferr := q.flushLocked(); ferr != nil {
-		return ferr
-	}
-	return err
+	return q.mutate(func() error { return q.mem.SavePartial(l, cp) })
 }
 
 // Fail implements Queue; the strike (and a possible quarantine) is
 // journaled and fsynced before the worker hears "recorded".
 func (q *WALQueue) Fail(l Lease, reason string) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.usable(); err != nil {
-		return err
-	}
-	q.buf, q.bufErr = q.buf[:0], nil
-	err := q.mem.Fail(l, reason)
-	if ferr := q.flushLocked(); ferr != nil {
-		return ferr
-	}
-	return err
+	return q.mutate(func() error { return q.mem.Fail(l, reason) })
 }
 
 // Quarantined implements Queue (read-only: nothing to journal).
@@ -540,32 +403,12 @@ func (q *WALQueue) Quarantined() ([]QuarantineEntry, error) { return q.mem.Quara
 
 // Requeue implements Queue; the reset is journaled and fsynced.
 func (q *WALQueue) Requeue(unit int) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.usable(); err != nil {
-		return err
-	}
-	q.buf, q.bufErr = q.buf[:0], nil
-	err := q.mem.Requeue(unit)
-	if ferr := q.flushLocked(); ferr != nil {
-		return ferr
-	}
-	return err
+	return q.mutate(func() error { return q.mem.Requeue(unit) })
 }
 
 // Drop implements Queue; the drop is journaled and fsynced.
 func (q *WALQueue) Drop(unit int) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.usable(); err != nil {
-		return err
-	}
-	q.buf, q.bufErr = q.buf[:0], nil
-	err := q.mem.Drop(unit)
-	if ferr := q.flushLocked(); ferr != nil {
-		return ferr
-	}
-	return err
+	return q.mutate(func() error { return q.mem.Drop(unit) })
 }
 
 // Failed returns the journal error that poisoned the queue, or nil.
@@ -591,253 +434,49 @@ func (q *WALQueue) Merged() (*resultio.Checkpoint, error) { return q.mem.Merged(
 
 // Cancel stops the campaign durably: the cancel record is journaled
 // and fsynced, so a reopened queue stays canceled.
-func (q *WALQueue) Cancel() error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.usable(); err != nil {
-		return err
-	}
-	q.buf, q.bufErr = q.buf[:0], nil
-	err := q.mem.Cancel()
-	if ferr := q.flushLocked(); ferr != nil {
-		return ferr
-	}
-	return err
-}
+func (q *WALQueue) Cancel() error { return q.mutate(q.mem.Cancel) }
 
 // Canceled reports whether the campaign was canceled.
 func (q *WALQueue) Canceled() bool { return q.mem.Canceled() }
 
-// --- MemQueue replay plumbing ---
-//
-// The restore entry points apply journaled transitions directly: no
-// clock reads, no token minting, no re-planning arithmetic — the
-// record carries the resulting state, replay writes it down. They
-// bypass the journal sink by construction, so replay never
-// re-journals.
-
 // queueState is a MemQueue's full serializable state, as captured by
 // compaction snapshots.
 type queueState struct {
-	Units       []unitState `json:"units"`
-	ReplanDirty bool        `json:"replanDirty,omitempty"`
-	Canceled    bool        `json:"canceled,omitempty"`
-	Cost        costState   `json:"cost"`
-}
-
-// unitState is one serialized unit slot.
-type unitState struct {
-	State       string               `json:"state"`
-	Cells       []int                `json:"cells,omitempty"`
-	Worker      string               `json:"worker,omitempty"`
-	Token       string               `json:"token,omitempty"`
-	Expires     time.Time            `json:"expires"`
-	Done        *resultio.Checkpoint `json:"done,omitempty"`
-	Partial     *resultio.Checkpoint `json:"partial,omitempty"`
-	Strikes     int                  `json:"strikes,omitempty"`
-	LastFailure string               `json:"lastFailure,omitempty"`
+	Units       []memUnit `json:"units"`
+	ReplanDirty bool      `json:"replanDirty,omitempty"`
+	Canceled    bool      `json:"canceled,omitempty"`
+	Cost        costState `json:"cost"`
 }
 
 // snapshotState captures the queue's full state for a compaction
-// snapshot. Checkpoint pointers are shared, not copied: accepted
-// checkpoints are immutable.
+// snapshot.
 func (q *MemQueue) snapshotState() queueState {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	s := queueState{
-		Units:       make([]unitState, len(q.units)),
+	return queueState{
+		Units:       slices.Clone(q.units),
 		ReplanDirty: q.replanDirty,
 		Canceled:    q.canceled,
 		Cost:        q.cost.snapshot(),
 	}
-	for i := range q.units {
-		u := &q.units[i]
-		s.Units[i] = unitState{
-			State:       u.state,
-			Cells:       append([]int(nil), u.cells...),
-			Worker:      u.worker,
-			Token:       u.token,
-			Expires:     u.expires,
-			Done:        u.cp,
-			Partial:     u.partial,
-			Strikes:     u.strikes,
-			LastFailure: u.lastFailure,
-		}
-	}
-	return s
 }
 
-// restoreState replaces the queue's state with a snapshot's.
-func (q *MemQueue) restoreState(s queueState) error {
+// loadState replaces the queue's state with a snapshot's.
+func (q *MemQueue) loadState(s queueState) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if err := q.cost.restore(s.Cost); err != nil {
-		return err
-	}
-	q.units = make([]memUnit, len(s.Units))
-	for i, us := range s.Units {
-		switch us.State {
+	for i, u := range s.Units {
+		switch u.State {
 		case UnitPending, UnitLeased, UnitDone, UnitRetired, UnitQuarantined, UnitDropped:
 		default:
-			return fmt.Errorf("unit %d: unknown state %q", i, us.State)
-		}
-		q.units[i] = memUnit{
-			state:       us.State,
-			cells:       append([]int(nil), us.Cells...),
-			worker:      us.Worker,
-			token:       us.Token,
-			expires:     us.Expires,
-			cp:          us.Done,
-			partial:     us.Partial,
-			strikes:     us.Strikes,
-			lastFailure: us.LastFailure,
+			return fmt.Errorf("unit %d: unknown state %q", i, u.State)
 		}
 	}
+	if err := q.cost.load(s.Cost); err != nil {
+		return err
+	}
+	q.units = s.Units
 	q.replanDirty = s.ReplanDirty
 	q.canceled = s.Canceled
-	return nil
-}
-
-// restorePlan applies a journaled re-planning pass's slot deltas.
-func (q *MemQueue) restorePlan(deltas []PlanDelta) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.replanDirty = false
-	for _, d := range deltas {
-		switch d.State {
-		case UnitPending, UnitRetired:
-		default:
-			return fmt.Errorf("plan delta for unit %d: state %q", d.Unit, d.State)
-		}
-		switch {
-		case d.Unit >= 0 && d.Unit < len(q.units):
-			q.units[d.Unit] = memUnit{state: d.State, cells: d.Cells}
-		case d.Unit == len(q.units):
-			q.units = append(q.units, memUnit{state: d.State, cells: d.Cells})
-		default:
-			return fmt.Errorf("plan delta for unit %d of %d", d.Unit, len(q.units))
-		}
-	}
-	return nil
-}
-
-// restoreGrant applies a journaled grant (or steal): the lease's
-// worker, token and expiry land on the unit exactly as minted. Any
-// stored partial survives — live grants keep it for resume too.
-func (q *MemQueue) restoreGrant(l Lease) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if l.Unit < 0 || l.Unit >= len(q.units) {
-		return fmt.Errorf("grant for unit %d of %d", l.Unit, len(q.units))
-	}
-	u := &q.units[l.Unit]
-	if u.state == UnitDone || u.state == UnitRetired {
-		return fmt.Errorf("grant for unit %d in state %q", l.Unit, u.state)
-	}
-	u.state = UnitLeased
-	u.worker = l.Worker
-	u.token = l.Token
-	u.expires = l.Expires
-	if len(l.Cells) > 0 {
-		u.cells = append([]int(nil), l.Cells...)
-	}
-	return nil
-}
-
-// restoreHeartbeat applies a journaled lease extension.
-func (q *MemQueue) restoreHeartbeat(unit int, token string, expires time.Time) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if unit < 0 || unit >= len(q.units) {
-		return fmt.Errorf("heartbeat for unit %d of %d", unit, len(q.units))
-	}
-	u := &q.units[unit]
-	if u.token != token {
-		return fmt.Errorf("heartbeat for unit %d under a foreign token", unit)
-	}
-	u.state = UnitLeased
-	u.expires = expires
-	return nil
-}
-
-// restoreSubmit applies a journaled accepted submission, feeding the
-// cost model the same observation the live path did.
-func (q *MemQueue) restoreSubmit(unit int, worker string, cp *resultio.Checkpoint, elapsedNs int64) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if unit < 0 || unit >= len(q.units) {
-		return fmt.Errorf("submit for unit %d of %d", unit, len(q.units))
-	}
-	u := &q.units[unit]
-	if u.state == UnitRetired {
-		return fmt.Errorf("submit for retired unit %d", unit)
-	}
-	u.state = UnitDone
-	u.worker = worker
-	u.token = ""
-	u.cp = cp
-	u.partial = nil
-	q.cost.observe(u.cells, elapsedNs)
-	if elapsedNs > 0 {
-		q.replanDirty = true
-	}
-	return nil
-}
-
-// restorePartial applies a journaled intra-unit checkpoint by merging
-// its cells into the unit's stored partial, as SavePartial did. A
-// journal written before partials became incremental holds cumulative
-// records, each containing the one before, so merging replays it to
-// the same state replacing did.
-func (q *MemQueue) restorePartial(unit int, token string, cp *resultio.Checkpoint) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if unit < 0 || unit >= len(q.units) {
-		return fmt.Errorf("partial for unit %d of %d", unit, len(q.units))
-	}
-	u := &q.units[unit]
-	if u.token != token {
-		return fmt.Errorf("partial for unit %d under a foreign token", unit)
-	}
-	if cp == nil {
-		return fmt.Errorf("partial for unit %d without a checkpoint", unit)
-	}
-	u.partial = resultio.MergePartial(u.partial, cp)
-	return nil
-}
-
-// restoreStrike applies a journaled strike-state transition: the
-// record carries the resulting strike count and unit state (pending,
-// quarantined or dropped), so expiry strikes, worker failures,
-// requeues and drops all replay the same way. The lease fields clear;
-// when a steal followed the strike, the next grant record restores
-// them.
-func (q *MemQueue) restoreStrike(unit, strikes int, state, reason string) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if unit < 0 || unit >= len(q.units) {
-		return fmt.Errorf("strike for unit %d of %d", unit, len(q.units))
-	}
-	switch state {
-	case UnitPending, UnitQuarantined, UnitDropped:
-	default:
-		return fmt.Errorf("strike for unit %d: state %q", unit, state)
-	}
-	u := &q.units[unit]
-	if u.state == UnitDone || u.state == UnitRetired {
-		return fmt.Errorf("strike for unit %d in state %q", unit, u.state)
-	}
-	u.state = state
-	u.strikes = strikes
-	u.lastFailure = reason
-	u.worker, u.token = "", ""
-	return nil
-}
-
-// restoreCancel applies a journaled campaign cancellation.
-func (q *MemQueue) restoreCancel() error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.canceled = true
 	return nil
 }
