@@ -111,7 +111,7 @@ func run(args []string) error {
 
 		workerFor     = fs.String("worker", "", "work for a campaign coordinator: a shared campaign directory or a campaignd http(s) URL")
 		workerName    = fs.String("worker-name", "", "worker identity in leases and status output (default hostname-pid)")
-		partialEvery  = fs.Int("partial-every", 1, "worker mode: write an intra-unit checkpoint to the coordinator after every N completed cells (resume granularity after a worker death)")
+		partialEvery  = fs.Int("partial-every", 0, "worker mode: write an intra-unit checkpoint to the coordinator after every N completed cells, bounding what a worker death loses (0 = by compute time, about every 2s)")
 		unitTimeout   = fs.Duration("unit-timeout", 0, "worker mode: bound one unit's compute; a unit exceeding it is reported as failed (a strike toward quarantine) instead of wedging the worker (0 = unbounded)")
 		campaignID    = fs.String("campaign", "", "worker mode against a campaign service: the campaign ID to work for (requires an http(s) -worker endpoint)")
 		campaignToken = fs.String("campaign-token", "", "worker mode: the campaign's worker auth token (handed out when the campaign is created)")
@@ -123,7 +123,7 @@ func run(args []string) error {
 		ckptPath  = fs.String("checkpoint", "", "periodically write per-cell aggregates to this file")
 		resume    = fs.Bool("resume", false, "load the -checkpoint file if present and skip completed cells")
 		mergeList = fs.String("merge", "", "comma-separated shard checkpoints to fuse and render (no cells are re-run)")
-		ckptEvery = fs.Int("checkpoint-every", 16, "checkpoint after every N completed cells")
+		ckptEvery = fs.Int("checkpoint-every", 0, "checkpoint after every N completed cells (0 = by compute time, about every 2s)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

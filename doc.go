@@ -189,10 +189,13 @@
 //     plan — is what the worker runs); the serverless directory queue
 //     keeps static units and grants the most expensive remaining unit
 //     first (LPT), since no process owns the plan there.
-//   - Workers write intra-unit checkpoints (Queue.SavePartial) every
-//     N completed cells, each carrying only the cells the coordinator
-//     has not yet acknowledged; the queue merges them into the unit's
-//     stored partial, so checkpoint bytes grow linearly with the unit.
+//   - Workers write intra-unit checkpoints (Queue.SavePartial) by
+//     compute time, once about two seconds of compute have passed since
+//     the last one (or every N completed cells with -partial-every N),
+//     so a worker death loses at most that much work per unit. Each
+//     carries only the cells the coordinator has not yet acknowledged;
+//     the queue merges them into the unit's stored partial, so
+//     checkpoint bytes grow linearly with the unit.
 //     A re-granted lease resumes from that merged partial
 //     (Queue.LoadPartial + Study.Seed) instead of recomputing the
 //     unit. Partials hold whole-cell deterministic aggregates only, so

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"rowfuse/internal/chipdb"
 	"rowfuse/internal/device"
@@ -71,20 +70,9 @@ func (s *Study) runFleet(ctx context.Context) error {
 		})
 	}
 
-	var ckptMu sync.Mutex
-	checkpoint := func() error {
-		if s.cfg.Checkpoint == nil {
-			return nil
-		}
-		ckptMu.Lock()
-		defer ckptMu.Unlock()
-		return s.cfg.Checkpoint(s.Snapshot())
-	}
-
+	ck := s.newCheckpointer(len(jobs))
 	jobCh := make(chan *fleetJob)
 	errCh := make(chan error, 1)
-	var done atomic.Int64
-	total := len(jobs)
 	fail := func(err error) {
 		select {
 		case errCh <- err:
@@ -96,8 +84,9 @@ func (s *Study) runFleet(ctx context.Context) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			scratch := new(EngineScratch)
 			for job := range jobCh {
-				res, err := s.runFleetBlock(&plan, job)
+				res, err := s.runFleetBlock(&plan, job, scratch)
 				if err != nil {
 					fail(err)
 					return
@@ -105,15 +94,9 @@ func (s *Study) runFleet(ctx context.Context) error {
 				s.mu.Lock()
 				s.results[job.key] = res
 				s.mu.Unlock()
-				n := int(done.Add(1))
-				if s.cfg.Progress != nil {
-					s.cfg.Progress(n, total)
-				}
-				if s.cfg.Checkpoint != nil && n%s.cfg.CheckpointEvery == 0 && n < total {
-					if err := checkpoint(); err != nil {
-						fail(err)
-						return
-					}
+				if err := ck.cellDone(); err != nil {
+					fail(err)
+					return
 				}
 			}
 		}()
@@ -141,7 +124,7 @@ feed:
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return checkpoint()
+	return ck.save()
 }
 
 // fleetVictims picks the per-chip victim sample: the first
@@ -157,8 +140,9 @@ func fleetVictims(numRows, rowsPerChip int) []int {
 // runFleetBlock derives and characterizes every chip of one block in
 // ascending chip order, streaming row results into a fleet fold. The
 // block's fold state depends only on the study config and block
-// index.
-func (s *Study) runFleetBlock(plan *FleetPlan, job *fleetJob) (*ModuleResult, error) {
+// index. Bank-backed engines are built from scratch, the calling pool
+// goroutine's storage.
+func (s *Study) runFleetBlock(plan *FleetPlan, job *fleetJob, scratch *EngineScratch) (*ModuleResult, error) {
 	lo, hi := plan.BlockRange(job.block)
 	model := plan.Population()
 	perChip := s.cfg.Runs * plan.RowsPerChip
@@ -204,6 +188,7 @@ func (s *Study) runFleetBlock(plan *FleetPlan, job *fleetJob) (*ModuleResult, er
 				NumRows:  numRows,
 				RowBytes: rowBytes,
 				Run:      int64(run),
+				Scratch:  scratch,
 			}
 			eng, err := newScenarioEngine(env, job.scenario)
 			if err != nil {

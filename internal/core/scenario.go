@@ -199,7 +199,8 @@ func (ts ThermalSpec) settle() (float64, error) {
 
 // EngineEnv is the per-(cell, die, run) environment an engine factory
 // builds from: the die-level profile, the model constants, the bank
-// geometry, and the run index for noise realizations.
+// geometry, the run index for noise realizations, and the building
+// goroutine's scratch storage.
 type EngineEnv struct {
 	// Profile is the die-level profile (DieProfile already applied).
 	Profile device.Profile
@@ -217,6 +218,37 @@ type EngineEnv struct {
 	// PopCache is the shared per-die population cache; non-nil only
 	// for analytic-engine scenarios.
 	PopCache *device.PopulationCache
+	// Scratch is storage owned by the goroutine building the engine and
+	// reused across the engines it builds: factories get their banks
+	// from Scratch.NewBank. An engine built from a scratch is valid
+	// only until the next engine is built from the same scratch. Nil
+	// (the zero EngineEnv) builds every engine from fresh storage.
+	Scratch *EngineScratch
+}
+
+// EngineScratch is one goroutine's reusable engine storage. Study.Run
+// gives each of its pool goroutines one, so the bank-backed engines of
+// successive cells reuse one bank's row storage instead of allocating
+// it per (cell, die, run). Not safe for concurrent use.
+type EngineScratch struct {
+	bank *device.Bank
+}
+
+// NewBank returns a bank in exactly the state device.NewBank(cfg)
+// would build. A nil scratch calls device.NewBank; otherwise the
+// scratch's one bank is Reset to cfg and returned, which ends the
+// validity of every engine built from this scratch before.
+func (s *EngineScratch) NewBank(cfg device.BankConfig) (*device.Bank, error) {
+	if s == nil {
+		return device.NewBank(cfg)
+	}
+	if s.bank == nil {
+		s.bank = new(device.Bank)
+	}
+	if err := s.bank.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return s.bank, nil
 }
 
 // EngineFactory builds a scenario's engine for one (die, run).
@@ -266,7 +298,7 @@ func newScenarioEngine(env EngineEnv, sc Scenario) (Engine, error) {
 			PopCache: env.PopCache,
 		})
 	case EngineBank:
-		b, err := device.NewBank(device.BankConfig{
+		b, err := env.Scratch.NewBank(device.BankConfig{
 			Profile:  env.Profile,
 			Params:   env.Params,
 			Index:    env.Bank,

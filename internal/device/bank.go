@@ -3,6 +3,7 @@ package device
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -60,6 +61,12 @@ type Bank struct {
 	// row on first touch.
 	gen     RowPopulation
 	genUsed Bitset
+	// spareRows and spareBufs hold the storage of the rows a Reset
+	// dropped, recycled as rows materialize again: row states with
+	// their weak-cell and retention slices, and data/golden buffers of
+	// the current row width.
+	spareRows []*rowState
+	spareBufs [][]byte
 
 	// flipGen increments every time a weak cell materializes a flip,
 	// letting engines detect "no new flips" by comparing one integer
@@ -92,11 +99,28 @@ type BankConfig struct {
 
 // NewBank constructs a bank. It validates the profile and parameters.
 func NewBank(cfg BankConfig) (*Bank, error) {
-	if err := cfg.Profile.Validate(); err != nil {
+	b := &Bank{}
+	if err := b.Reset(cfg); err != nil {
 		return nil, err
 	}
+	return b, nil
+}
+
+// Reset reconfigures the bank in place and leaves it exactly as
+// NewBank(cfg) would build it: no row materialized, no row open, the
+// refresh cursor, flip generation and counters at zero. The storage of
+// the rows it drops (row states, weak-cell and retention slices, data
+// and golden buffers) is kept and reused as rows materialize again, so
+// a caller that runs many short experiments on one bank allocates each
+// row's storage once. Slices VictimCells returned before a Reset are
+// invalid after it. An invalid cfg leaves the bank unchanged. NewBank
+// is Reset on a zero Bank.
+func (b *Bank) Reset(cfg BankConfig) error {
+	if err := cfg.Profile.Validate(); err != nil {
+		return err
+	}
 	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.NumRows == 0 {
 		cfg.NumRows = 65536
@@ -105,26 +129,51 @@ func NewBank(cfg BankConfig) (*Bank, error) {
 		cfg.RowBytes = 1024
 	}
 	if cfg.NumRows < 8 {
-		return nil, fmt.Errorf("device: bank needs at least 8 rows, got %d", cfg.NumRows)
+		return fmt.Errorf("device: bank needs at least 8 rows, got %d", cfg.NumRows)
 	}
 	temp := cfg.TempC
 	if temp == 0 {
 		temp = cfg.Params.TempRefC
 	}
-	return &Bank{
-		profile:  cfg.Profile,
-		params:   cfg.Params,
-		index:    cfg.Index,
-		numRows:  cfg.NumRows,
-		rowBits:  cfg.RowBytes * 8,
-		runSeed:  cfg.RunSeed,
-		rows:     make(map[int]*rowState),
-		openRow:  -1,
-		tempC:    temp,
-		tf:       cfg.Params.TempFactor(temp),
-		weakSide: WeakSideCouplingOf(cfg.Profile, cfg.Params),
-		mapper:   cfg.Mapper,
-	}, nil
+
+	// Spare buffers always have the current row width.
+	keepBufs := cfg.RowBytes == b.RowBytes()
+	if !keepBufs {
+		clear(b.spareBufs)
+		b.spareBufs = b.spareBufs[:0]
+	}
+	for _, st := range b.rows {
+		if keepBufs && st.data != nil {
+			b.spareBufs = append(b.spareBufs, st.data, st.golden)
+		}
+		st.data, st.golden = nil, nil
+		b.spareRows = append(b.spareRows, st)
+	}
+
+	// Field by field: gen holds a lock, so the struct cannot be
+	// replaced wholesale, and it is scratch a Reset keeps anyway.
+	b.profile = cfg.Profile
+	b.params = cfg.Params
+	b.index = cfg.Index
+	b.numRows = cfg.NumRows
+	b.rowBits = cfg.RowBytes * 8
+	b.runSeed = cfg.RunSeed
+	if b.rows == nil {
+		b.rows = make(map[int]*rowState)
+	} else {
+		clear(b.rows)
+	}
+	b.openRow = -1
+	b.openAt = 0
+	b.isOpen = false
+	b.tempC = temp
+	b.tf = cfg.Params.TempFactor(temp)
+	b.weakSide = WeakSideCouplingOf(cfg.Profile, cfg.Params)
+	b.mapper = cfg.Mapper
+	b.refCursor = 0
+	b.flipGen = 0
+	b.actCount, b.preCount, b.refCount = 0, 0, 0
+	return nil
 }
 
 // NumRows returns the number of rows in the bank.
@@ -162,7 +211,7 @@ func (b *Bank) Counters() (act, pre, ref int64) {
 // row materializes a row on first touch.
 func (b *Bank) row(r int) *rowState {
 	st := b.disturbedRow(r)
-	st.allocBuffers(b.RowBytes())
+	b.allocBuffers(st)
 	return st
 }
 
@@ -177,12 +226,39 @@ func (b *Bank) disturbedRow(r int) *rowState {
 	// The same cells GenerateRowCells returns, built in the bank's
 	// scratch population.
 	b.gen.build(b.profile, b.params, b.index, r, b.rowBits, &b.genUsed)
-	st = &rowState{
-		weak: b.gen.AppendCells(make([]WeakCell, 0, b.gen.Len()), b.runSeed),
-		ret:  generateRetentionCells(b.profile, b.index, r, b.rowBits),
+	if n := len(b.spareRows); n > 0 {
+		st = b.spareRows[n-1]
+		b.spareRows[n-1] = nil
+		b.spareRows = b.spareRows[:n-1]
+		*st = rowState{weak: st.weak[:0], ret: st.ret[:0]}
+	} else {
+		st = &rowState{}
 	}
+	st.weak = b.gen.AppendCells(slices.Grow(st.weak, b.gen.Len()), b.runSeed)
+	st.ret = appendRetentionCells(st.ret, b.profile, b.index, r, b.rowBits)
 	b.rows[r] = st
 	return st
+}
+
+// allocBuffers gives a row materialized without data its zeroed data
+// and golden buffers, recycling spare ones when a Reset left some.
+func (b *Bank) allocBuffers(st *rowState) {
+	if st.data == nil {
+		st.data, st.golden = b.zeroedBuf(), b.zeroedBuf()
+	}
+}
+
+// zeroedBuf returns a zeroed row-width buffer, spare or new.
+func (b *Bank) zeroedBuf() []byte {
+	n := len(b.spareBufs)
+	if n == 0 {
+		return make([]byte, b.RowBytes())
+	}
+	buf := b.spareBufs[n-1]
+	b.spareBufs[n-1] = nil
+	b.spareBufs = b.spareBufs[:n-1]
+	clear(buf)
+	return buf
 }
 
 // phys validates a logical row address and maps it to its physical
@@ -360,7 +436,7 @@ func (b *Bank) tryFlip(st *rowState, c *WeakCell) {
 		// observable flip (data-pattern dependence).
 		return
 	}
-	st.allocBuffers(b.RowBytes())
+	b.allocBuffers(st)
 	setBit(st.data, c.Bit, c.Dir.To())
 	c.flipped = true
 	b.flipGen++

@@ -2,6 +2,7 @@ package device
 
 import (
 	"math"
+	"slices"
 	"time"
 )
 
@@ -294,31 +295,28 @@ func GenerateRowCells(p Profile, d DisturbParams, bank, row int, rowBits int, ru
 
 // generateRetentionCells builds the retention-weak tail of a row.
 func generateRetentionCells(p Profile, bank, row int, rowBits int) []retCell {
+	return appendRetentionCells(nil, p, bank, row, rowBits)
+}
+
+// appendRetentionCells appends the retention-weak tail of a row to
+// dst, growing it at most once.
+func appendRetentionCells(dst []retCell, p Profile, bank, row int, rowBits int) []retCell {
 	r := newRNG(hashString(p.Serial), uint64(bank)<<32|uint64(uint32(row)), 0x4e7e)
 	minRet := p.RetentionMin
 	if minRet <= 0 {
 		minRet = 70 * time.Millisecond
 	}
 	const n = 4
-	cells := make([]retCell, 0, n)
+	dst = slices.Grow(dst, n)
 	for k := 0; k < n; k++ {
 		ret := time.Duration(float64(minRet) * (1 + 0.8*float64(k)) * r.lognormal(0, 0.2))
 		dir := ZeroToOne
 		if r.float64() < p.PressOneToZeroFrac {
 			dir = OneToZero
 		}
-		cells = append(cells, retCell{bit: r.intn(rowBits), ret: ret, dir: dir})
+		dst = append(dst, retCell{bit: r.intn(rowBits), ret: ret, dir: dir})
 	}
-	return cells
-}
-
-// allocBuffers gives a row materialized without data its zeroed data
-// and golden buffers of rowBytes bytes.
-func (st *rowState) allocBuffers(rowBytes int) {
-	if st.data == nil {
-		st.data = make([]byte, rowBytes)
-		st.golden = make([]byte, rowBytes)
-	}
+	return dst
 }
 
 // bit returns the row's stored value at bit offset bit.

@@ -31,8 +31,12 @@
 // same tail from the ordering side.
 //
 // Workers also write intra-unit checkpoints: the completed cells of
-// the unit in flight, stored at the queue under the lease. Each
-// partial carries only the cells finished since the worker's last
+// the unit in flight, stored at the queue under the lease. By default
+// a worker sends one once about two seconds of compute have passed
+// since its last (WorkerOptions.PartialEvery sets a cadence in cells
+// instead), so a worker death costs at most that much recompute per
+// unit, while cells far cheaper than a round trip never wait on one.
+// Each partial carries only the cells finished since the worker's last
 // acknowledged one, and the queue merges it into the unit's stored
 // partial (and journals just those cells), so a unit of n cells costs
 // O(n) checkpoint bytes rather than O(n²). When a lease expires and is

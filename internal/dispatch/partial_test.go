@@ -345,7 +345,7 @@ func TestWorkerResendsUnacknowledgedPartials(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	n, err := dispatch.Work(ctx, q, dispatch.WorkerOptions{Name: "lossy", Concurrency: 1, Log: t.Logf})
+	n, err := dispatch.Work(ctx, q, dispatch.WorkerOptions{Name: "lossy", Concurrency: 1, PartialEvery: 1, Log: t.Logf})
 	if err != nil || n != 2 {
 		t.Fatalf("worker submitted %d of 2 units: %v", n, err)
 	}
@@ -470,9 +470,10 @@ func TestPartialUploadsAreLinear(t *testing.T) {
 		t.Fatalf("unit of %d cells, want at least 30", len(l.Cells))
 	}
 	cp, _, err := dispatch.RunUnitWork(context.Background(), m, dispatch.UnitWork{
-		Unit:        l.Unit,
-		Cells:       l.Cells,
-		SavePartial: func(cp *resultio.Checkpoint) error { return q.SavePartial(l, cp) },
+		Unit:         l.Unit,
+		Cells:        l.Cells,
+		SavePartial:  func(cp *resultio.Checkpoint) error { return q.SavePartial(l, cp) },
+		PartialEvery: 1,
 	}, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -37,17 +37,24 @@ type UnitWork struct {
 	// recomputed.
 	Resume *resultio.Checkpoint
 	// SavePartial, when non-nil, receives intra-unit checkpoints as
-	// cells complete. Each carries only the cells finished since the
-	// last call that returned nil (the queue merges them into the
-	// unit's stored partial); the cells of a call that failed ride
-	// along with the next one, since the queue may have applied them
-	// anyway. A runner never overlaps calls. Errors are the runner's
-	// to tolerate: partials are an optimization, the unit result must
-	// not depend on them.
+	// the PartialEvery rule makes them due. Each carries only the cells
+	// finished since the last call that returned nil (the queue merges
+	// them into the unit's stored partial); the cells of a call that
+	// failed ride along with the next one, since the queue may have
+	// applied them anyway. A runner never overlaps calls. Errors are
+	// the runner's to tolerate: partials are an optimization, the unit
+	// result must not depend on them.
 	SavePartial func(*resultio.Checkpoint) error
-	// PartialEvery is the intra-unit checkpoint cadence in completed
-	// cells (<= 0: after every cell).
+	// PartialEvery is the intra-unit checkpoint cadence: N > 0 saves a
+	// partial after every N completed cells; 0 (the default) saves one
+	// by compute time, as core.StudyConfig.CheckpointEvery does, so a
+	// unit that finishes within about two seconds makes no partial.
 	PartialEvery int
+	// Progress, when non-nil, is called as cells complete with the
+	// unit's done and total cell counts; done includes the cells seeded
+	// from Resume. Calls come from the runner's pool goroutines and may
+	// overlap.
+	Progress func(done, total int)
 }
 
 // UnitRunStats reports how much of a unit was actually computed — the
@@ -75,12 +82,15 @@ type WorkerOptions struct {
 	// A per-machine execution detail: it does not touch the campaign
 	// fingerprint.
 	Concurrency int
-	// PartialEvery is the intra-unit checkpoint cadence in completed
-	// cells (default 1: every completed cell is durable immediately;
-	// raise it if checkpoint I/O to the coordinator is expensive
-	// relative to a cell's compute time). Each checkpoint uploads only
-	// the cells the coordinator has not yet acknowledged, so the
-	// cadence sets the round-trip count, not the bytes.
+	// PartialEvery is the intra-unit checkpoint cadence. The default,
+	// 0, checkpoints by compute time: a partial goes to the coordinator
+	// once about two seconds of compute have passed since the last one,
+	// so a worker death loses at most that much work per unit in flight
+	// while cells far cheaper than a round trip no longer wait on one.
+	// N > 0 checkpoints after every N completed cells instead (1 makes
+	// every cell durable at once). Each checkpoint uploads only the
+	// cells the coordinator has not yet acknowledged, so the cadence
+	// sets the round-trip count, not the bytes.
 	PartialEvery int
 	// UnitTimeout bounds a single unit's compute (0 = unbounded). A
 	// unit that exceeds it is canceled and reported to the queue as a
@@ -112,9 +122,6 @@ func (o WorkerOptions) withDefaults(ttl time.Duration) WorkerOptions {
 		if o.Poll > 5*time.Second {
 			o.Poll = 5 * time.Second
 		}
-	}
-	if o.PartialEvery == 0 {
-		o.PartialEvery = 1
 	}
 	if o.RunShard == nil {
 		conc := o.Concurrency
@@ -149,8 +156,9 @@ func RunStudyShard(ctx context.Context, m Manifest, plan core.ShardPlan) (*resul
 // RunUnitWork computes one unit: reconstruct the campaign config from
 // the manifest, restrict it to the unit's cells, seed the intra-unit
 // resume checkpoint (completed cells are skipped, not recomputed),
-// stream the newly finished cells through u.SavePartial, and pack the
-// unit's complete aggregate state.
+// stream the newly finished cells through u.SavePartial at the
+// u.PartialEvery cadence, report progress through u.Progress, and pack
+// the unit's complete aggregate state.
 func RunUnitWork(ctx context.Context, m Manifest, u UnitWork, concurrency int) (*resultio.Checkpoint, UnitRunStats, error) {
 	var stats UnitRunStats
 	cfg, err := m.Campaign.StudyConfig()
@@ -164,10 +172,13 @@ func RunUnitWork(ctx context.Context, m Manifest, u UnitWork, concurrency int) (
 	cfg.CellIndices = cells
 	cfg.Concurrency = concurrency
 	cfg.CheckpointEvery = u.PartialEvery
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 1
-	}
 	stats.TotalCells = len(cells)
+	if u.Progress != nil {
+		progress, total := u.Progress, len(cells)
+		// Run counts only the cells it computes; stats.ResumedCells is
+		// final before it starts.
+		cfg.Progress = func(done, _ int) { progress(stats.ResumedCells+done, total) }
+	}
 	// acked holds the cells the queue already has: the seeded resume
 	// cells, then those of every partial whose save returned nil. Each
 	// partial carries only the finished cells outside it, so a unit of
@@ -419,25 +430,38 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 			unitCells = len(m.UnitCells(lease.Unit))
 		}
 		// Pipelining trigger: once the unit is into its last
-		// checkpoint-interval's worth of cells, overlap the next
-		// Acquire with the tail compute. One attempt per unit. Partials
-		// carry only new cells, so progress is the resumed cells plus
-		// every cell of an acknowledged partial (none is sent twice once
-		// acknowledged).
-		pipeThreshold := opt.PartialEvery
-		if pipeThreshold < 1 {
-			pipeThreshold = 1
+		// checkpoint interval's worth of cells (its last cell under the
+		// compute-time cadence), overlap the next Acquire with the tail
+		// compute. One attempt per unit. Two paths report progress: the
+		// runner's progress hook (resumed plus computed cells), and each
+		// acknowledged partial (resumed plus acknowledged cells; partials
+		// carry only new cells, so none is counted twice). A runner that
+		// only checkpoints still arms the trigger through the second.
+		pipeThreshold := max(opt.PartialEvery, 1)
+		var prefetchOnce sync.Once
+		progressed := func(done int) {
+			if unitCells > 0 && unitCells-done <= pipeThreshold {
+				prefetchOnce.Do(func() {
+					// One prefetch in flight at a time: the previous
+					// unit's may not have answered yet, and a second
+					// delivery would strand its lease in prefetchCh
+					// with nothing left to read it.
+					if prefetching.CompareAndSwap(false, true) {
+						go prefetchLease(pipeCtx, q, opt, beat, prefetchCh)
+					}
+				})
+			}
 		}
 		acked := 0
 		if resume != nil {
 			acked = len(resume.Cells)
 		}
-		var prefetchOnce sync.Once
 		work := UnitWork{
 			Unit:         lease.Unit,
 			Cells:        lease.Cells,
 			Resume:       resume,
 			PartialEvery: opt.PartialEvery,
+			Progress:     func(done, _ int) { progressed(done) },
 			SavePartial: func(cp *resultio.Checkpoint) error {
 				err := q.SavePartial(lease, cp)
 				switch {
@@ -446,17 +470,7 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 				case !errors.Is(err, ErrLeaseLost):
 					opt.Log("worker %s: unit %d: intra-unit checkpoint: %v", opt.Name, lease.Unit, err)
 				}
-				if unitCells > 0 && unitCells-acked <= pipeThreshold {
-					prefetchOnce.Do(func() {
-						// One prefetch in flight at a time: the
-						// previous unit's may not have answered yet,
-						// and a second delivery would strand its lease
-						// in prefetchCh with nothing left to read it.
-						if prefetching.CompareAndSwap(false, true) {
-							go prefetchLease(pipeCtx, q, opt, beat, prefetchCh)
-						}
-					})
-				}
+				progressed(acked)
 				return err
 			},
 		}

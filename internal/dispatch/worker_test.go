@@ -204,6 +204,7 @@ func TestWorkerResumesFromIntraUnitCheckpoint(t *testing.T) {
 			}
 			return nil
 		},
+		PartialEvery: 1,
 	}, 1)
 	die()
 	if runErr == nil {

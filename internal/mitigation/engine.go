@@ -145,12 +145,14 @@ func init() {
 }
 
 // newScenarioEngine is the core.EngineFactory of the "mitigated" kind.
+// Its bank comes from env.Scratch, so a Study's pool goroutine reuses
+// one bank's row storage across the cells it runs.
 func newScenarioEngine(env core.EngineEnv, sc core.Scenario) (core.Engine, error) {
 	spec := sc.Mitigation
 	if spec == nil {
 		spec = &core.MitigationSpec{}
 	}
-	bank, err := device.NewBank(device.BankConfig{
+	bank, err := env.Scratch.NewBank(device.BankConfig{
 		Profile:  env.Profile,
 		Params:   env.Params,
 		Index:    env.Bank,
