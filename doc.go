@@ -273,13 +273,15 @@
 // buffer-recycling callers. Study.Run schedules per-die work units so
 // fat 8/16-die modules spread across the worker pool while the
 // per-cell aggregates still fold in a sequential run's exact
-// observation order (checkpoints stay byte-identical).
+// observation order (checkpoints stay byte-identical). Fleet blocks
+// run on the same pool, one task per block, through the same per-die
+// helper.
 //
 // The damage phase of that batched solve dispatches at init to per-CPU
-// vector kernels: hand-written AVX2 assembly on amd64 (an AVX-512
-// variant is kept in parity reserve; arm64 gets a NEON-shaped loop),
-// selected by internal/cpu's CPUID/XGETBV probe, with -tags purego as
-// the pure-Go scalar escape hatch. The kernels are bit-exact by
+// vector kernels: hand-written AVX2 assembly on amd64 (AVX2 also where
+// AVX-512 is available, since the kernels are divide-bound; arm64 gets
+// a NEON-shaped loop), selected by internal/cpu's CPUID/XGETBV probe,
+// with -tags purego as the pure-Go scalar escape hatch. The kernels are bit-exact by
 // construction, not approximately fast: lanes parallelize across
 // cells, never across acts, so each cell's float operations happen in
 // the scalar oracle's exact order, and FMA contraction is forbidden —
@@ -306,12 +308,13 @@
 // core.WithExactReplay opts out). This takes a 60 ms characterization
 // from ~19 ms to ~80 us of wall time and accelerates every
 // bank-engine-backed cross-validation and calibration sweep. The
-// closed-form stepper itself is vectorized in spirit if not in
-// registers: the default build replays the per-binade delta
-// decomposition as pure integer arithmetic on projected
-// mantissa/exponent pairs (internal/core/bankbatch.go), bit-identical
-// to the float reference (FuzzBankBatchParity), which remains the
-// purego build's implementation.
+// closed-form stepper decomposes each steady delta per binade as pure
+// integer arithmetic on projected mantissa/exponent pairs
+// (internal/core/bankbatch.go), the one implementation on every build,
+// purego included. The tests keep a float-arithmetic stepper as its
+// oracle (FuzzBankBatchParity). A profile the projection rejects (a
+// negative, NaN or infinite delta, which the damage model never
+// produces) runs act by act, as an unprofilable row does.
 //
 // Under a TRR guard and periodic refresh the fast-forward does not
 // apply (the guard mutates cell state the damage profile does not

@@ -50,7 +50,6 @@ type AnalyticEngine struct {
 	scratch     flipScratch
 	batch       solveBatch
 	view        device.SolveView
-	bestIdx     []int
 }
 
 var _ Engine = (*AnalyticEngine)(nil)
@@ -659,71 +658,6 @@ func (e *AnalyticEngine) CharacterizeRowInto(victim int, spec pattern.Spec, opts
 			Bit:  int(view.Bit[i]),
 			Dir:  view.Dir[i],
 			Mech: view.Mech[i],
-		})
-	}
-	return nil
-}
-
-// characterizeRowIntoScalar is the pre-batching reference
-// implementation: cell-by-cell firstFlip over the materialized
-// []WeakCell population. It is retained as the oracle for the
-// scalar-vs-batched cross-check test, which pins the batched kernel to
-// it bit for bit.
-func (e *AnalyticEngine) characterizeRowIntoScalar(victim int, spec pattern.Spec, opts RunOpts, res *RowResult) error {
-	opts = opts.withDefaults()
-	if err := checkVictim(victim, e.numRows); err != nil {
-		*res = RowResult{}
-		return err
-	}
-	*res = RowResult{Victim: victim, Spec: spec, NoBitflip: true, Flips: res.Flips[:0]}
-
-	terms := e.termsFor(&spec)
-	tf := e.params.TempFactor(opts.TempC)
-	maxIters := spec.MaxIterations(opts.Budget)
-	cells := e.cellsFor(victim, opts.Run)
-
-	bestIter := int64(math.MaxInt64)
-	bestAct := 0
-	bestIdx := e.bestIdx[:0]
-	for i := range cells {
-		c := &cells[i]
-		// A cell only produces an observable flip if the victim data
-		// pattern stores the value its mechanism attacks.
-		if opts.Data.VictimBitAt(c.Bit) != c.Dir.From() {
-			continue
-		}
-		fp, ok := firstFlip(c, terms, e.weakSide, tf, maxIters, &e.scratch)
-		if !ok {
-			continue
-		}
-		switch {
-		case fp.iter < bestIter || (fp.iter == bestIter && fp.act < bestAct):
-			bestIter, bestAct = fp.iter, fp.act
-			bestIdx = append(bestIdx[:0], i)
-		case fp.iter == bestIter && fp.act == bestAct:
-			bestIdx = append(bestIdx, i)
-		}
-	}
-	e.bestIdx = bestIdx
-	if len(bestIdx) == 0 {
-		return nil
-	}
-
-	timeToFirst := time.Duration(bestIter-1)*spec.IterationTime() + terms[bestAct].end
-	if timeToFirst > opts.Budget {
-		return nil
-	}
-	res.NoBitflip = false
-	res.Iterations = bestIter
-	res.ACmin = (bestIter-1)*int64(spec.ActsPerIteration()) + int64(bestAct) + 1
-	res.TimeToFirst = timeToFirst
-	for _, i := range bestIdx {
-		c := &cells[i]
-		res.Flips = append(res.Flips, device.Bitflip{
-			Row:  victim,
-			Bit:  c.Bit,
-			Dir:  c.Dir,
-			Mech: c.Mech,
 		})
 	}
 	return nil

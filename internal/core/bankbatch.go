@@ -1,23 +1,25 @@
-// Integer-stepping bulk fast-forward for the bank engine.
+// Integer binade stepping: the bank fast-forward's solver.
 //
-// bulkIterations (bankfast.go) re-derives each steady delta's ulp
-// decomposition with float divides, floors and Ldexp scalings on every
-// binade the accumulator climbs through. But the decomposition is pure
-// bit surgery: a delta d = md * 2^(ed-1075) splits against an
-// accumulator binade of exponent e into quotient md>>s and remainder
-// md&(2^s-1) with s = e - ed, and the round direction is one integer
-// compare against the half-ulp bit 2^(s-1). bankSolve projects a whole
-// damage profile's steady deltas into (mantissa, exponent) form once
-// per characterization, and bulkIterationsPre replays bulkIterations'
-// exact decision procedure on the projected integers — same fallback
-// triggers, same advance count, same composed accumulator bits — with
-// no float arithmetic at all.
+// Within one binade, adding a steady delta d to the accumulator
+// advances its mantissa by a fixed integer (bankfast.go), and that
+// integer is pure bit surgery: a delta d = md * 2^(ed-1075) splits
+// against an accumulator binade of exponent e into quotient md>>s and
+// remainder md&(2^s-1) with s = e - ed, and the round direction is one
+// integer compare against the half-ulp bit 2^(s-1). bankSolve projects
+// a whole damage profile's steady deltas into (mantissa, exponent) form
+// once per characterization, and bulkIterationsPre advances an
+// accumulator through as many whole iterations as the binade allows
+// with integer shifts and compares only. The warm-up iteration and the
+// fallback single-steps (binade boundaries, exact half-ulp remainders,
+// the lowest binades) use real float additions.
 //
 // The projection rejects profiles containing a negative, NaN or
-// infinite steady delta (the damage model produces none); fastForward
-// then keeps the float reference path for the whole profile. purego
-// builds (bankFastEnabled = false) always run the float reference,
-// which the parity fuzz test pins the integer path to.
+// infinite steady delta (the damage model produces none);
+// solveFlipHorizon then reports the profile unsolvable and the engines
+// run it act by act. The tests fuzz this stepper against a float
+// stepper that re-derives every ulp decomposition with divides, floors
+// and Ldexp (FuzzBankBatchParity), and check both against executing
+// every addition (TestFastForwardKernelMatchesNaive).
 
 package core
 
@@ -35,8 +37,7 @@ type bankSolve struct {
 }
 
 // project decomposes every steady delta of a profile. It reports false
-// — leaving the caller on the float reference path — if any delta is
-// negative (including -0), NaN or infinite.
+// if any delta is negative (including -0), NaN or infinite.
 func (s *bankSolve) project(steady []float64) bool {
 	n := len(steady)
 	if cap(s.md) < n {
@@ -61,12 +62,24 @@ func (s *bankSolve) project(steady []float64) bool {
 	return true
 }
 
-// bulkIterationsPre is bulkIterations over a projected delta row: the
-// same closed-form advance, the same fallback conditions (accumulator
-// at or below the lowest normal binade, a delta reaching the next
-// binade in one add, an exact half-ulp remainder), the same cap
-// keeping every intermediate true sum inside the binade — decided with
-// integer shifts and compares instead of float divides and Ldexp.
+// bulkIterationsPre advances the accumulator by up to maxK whole
+// iterations of a projected steady delta row in closed form, returning
+// the new accumulator and the number of iterations consumed. k = 0
+// means the caller must single-step one iteration with real float
+// additions: the accumulator is at or below the lowest normal binade
+// (where half an ulp is not representable) or non-finite, a delta
+// reaches the next binade in one add, or a delta's remainder is an
+// exact half ulp (round-half-even then depends on mantissa parity,
+// which varies step to step).
+//
+// Correctness: the accumulator is m*ulp with m in [2^52, 2^53). Each
+// add of d = q*ulp + r yields a true sum (m'+q)*ulp + r that rounds to
+// m'+q ulps (r < ulp/2) or m'+q+1 ulps (r > ulp/2) — independent of m'
+// — provided the sum stays below the binade top. One iteration
+// therefore advances the mantissa by the constant t = sum of per-act
+// increments, and the cap keeps every intermediate true sum strictly
+// inside the binade: rounded mantissas stay <= m+k*t and every true sum
+// is < (m+k*t+1)*ulp < 2^(e+1).
 //
 // capped reports that the advance stopped at the binade's room rather
 // than at maxK. The leftover room is then provably under one
@@ -130,9 +143,15 @@ func bulkIterationsPre(acc float64, md []uint64, ed []int32, maxK int64) (next f
 	return math.Float64frombits(uint64(exp)<<52 | uint64(m+k*t)&(1<<52-1)), k, capped
 }
 
-// flipIterationPre is flipIteration with the bulk advance running on
-// the projected deltas; the warm-up first iteration and the fallback
-// single-steps still use the real float additions.
+// flipIterationPre returns the first 1-based iteration at which
+// repeated float64 addition of the per-act deltas (first for iteration
+// 1, steady from iteration 2 on) drives an accumulator starting at 0 to
+// >= 1, or ok=false if that does not happen within maxIters
+// iterations. md and ed are steady's projection. The returned
+// iteration is exact for the real float trajectory, including rounding
+// stalls where the additions stop changing the accumulator. Crossing 1
+// requires leaving the accumulator's current binade, so the in-binade
+// bulk advance can never skip past it.
 func flipIterationPre(first, steady []float64, md []uint64, ed []int32, maxIters int64) (int64, bool) {
 	if maxIters <= 0 {
 		return 0, false
@@ -162,6 +181,8 @@ func flipIterationPre(first, steady []float64, md []uint64, ed []int32, maxIters
 			}
 		}
 		if acc == prev {
+			// A whole iteration rounded to no-ops with the bookkeeping
+			// already steady: the state repeats forever.
 			return 0, false
 		}
 		iter++
@@ -169,8 +190,11 @@ func flipIterationPre(first, steady []float64, md []uint64, ed []int32, maxIters
 	return 0, false
 }
 
-// accAfterPre is accAfter with the bulk advance running on the
-// projected deltas.
+// accAfterPre returns the exact accumulator value after `iters`
+// completed iterations of the delta schedule, with no crossing check —
+// callers use it for jump states strictly before a cell's flip, and for
+// masked cells whose accumulator keeps growing past 1 without an
+// observable flip.
 func accAfterPre(first, steady []float64, md []uint64, ed []int32, iters int64) float64 {
 	if iters <= 0 {
 		return 0

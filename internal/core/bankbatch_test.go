@@ -38,8 +38,9 @@ func randBankDelta(r *rand.Rand, acc float64) float64 {
 }
 
 // checkBankBatchParity drives one random accumulator/delta-set through
-// the float reference and the integer projection and requires
-// bit-identical advances, flip iterations and jump accumulators.
+// the float stepper oracle (bankfast_test.go) and the integer stepper
+// and requires bit-identical advances, flip iterations and jump
+// accumulators.
 func checkBankBatchParity(t *testing.T, seed int64, accBits uint64, nDeltas uint8, maxK uint16) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -59,7 +60,7 @@ func checkBankBatchParity(t *testing.T, seed int64, accBits uint64, nDeltas uint
 	if !bs.project(steady) {
 		for _, d := range steady {
 			if math.IsInf(d, 1) {
-				return // legitimately rejected; float path keeps it
+				return // legitimately rejected; the engines run it act by act
 			}
 		}
 		t.Fatalf("project rejected an all-finite non-negative row: %v", steady)
@@ -110,8 +111,8 @@ func FuzzBankBatchParity(f *testing.F) {
 }
 
 // TestBankBatchParity always runs a deterministic slice of the fuzz
-// domain, so `go test` alone exercises the projection against the
-// float reference.
+// domain, so `go test` alone exercises the integer stepper against the
+// float oracle.
 func TestBankBatchParity(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 256; i++ {
@@ -120,8 +121,8 @@ func TestBankBatchParity(t *testing.T) {
 }
 
 // TestBankSolveProjectRejects pins the projection's fallback triggers:
-// any negative (including -0), NaN or infinite delta sends the whole
-// profile to the float reference path.
+// any negative (including -0), NaN or infinite delta rejects the whole
+// profile.
 func TestBankSolveProjectRejects(t *testing.T) {
 	var bs bankSolve
 	for _, bad := range []float64{-1, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()} {

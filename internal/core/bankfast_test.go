@@ -46,18 +46,173 @@ func naiveAccAfter(first, steady []float64, iters int64) float64 {
 	return acc
 }
 
-// TestFastForwardKernelMatchesNaive cross-checks flipIteration and
-// accAfter against executing the additions one by one, over random
+// The float stepper: the integer stepper's oracle. flipIteration,
+// accAfter and bulkIterations step the same trajectories as
+// flipIterationPre, accAfterPre and bulkIterationsPre (bankbatch.go),
+// but re-derive each steady delta's ulp decomposition with float
+// divides, floors and Ldexp scalings on every binade.
+
+// flipIteration returns the first 1-based iteration at which repeated
+// float64 addition of the per-act deltas (first for iteration 1, steady
+// from iteration 2 on) drives an accumulator starting at 0 to >= 1, or
+// ok=false if that does not happen within maxIters iterations. The
+// returned iteration is exact for the real float trajectory, including
+// rounding stalls where the additions stop changing the accumulator.
+func flipIteration(first, steady []float64, maxIters int64) (int64, bool) {
+	if maxIters <= 0 {
+		return 0, false
+	}
+	acc := 0.0
+	for _, d := range first {
+		acc += d
+		if acc >= 1 {
+			return 1, true
+		}
+	}
+	for iter := int64(2); iter <= maxIters; {
+		// Crossing 1 requires leaving the accumulator's current binade,
+		// so the in-binade bulk advance below can never skip past it.
+		next, k := bulkIterations(acc, steady, maxIters-iter+1)
+		if k > 0 {
+			acc = next
+			iter += k
+			continue
+		}
+		prev := acc
+		for _, d := range steady {
+			acc += d
+			if acc >= 1 {
+				return iter, true
+			}
+		}
+		if acc == prev {
+			// A whole iteration rounded to no-ops with the bookkeeping
+			// already steady: the state repeats forever.
+			return 0, false
+		}
+		iter++
+	}
+	return 0, false
+}
+
+// accAfter returns the exact accumulator value after `iters` completed
+// iterations of the delta schedule, with no crossing check — callers
+// use it for jump states strictly before a cell's flip, and for masked
+// cells whose accumulator keeps growing past 1 without an observable
+// flip.
+func accAfter(first, steady []float64, iters int64) float64 {
+	if iters <= 0 {
+		return 0
+	}
+	acc := 0.0
+	for _, d := range first {
+		acc += d
+	}
+	for done := int64(1); done < iters; {
+		next, k := bulkIterations(acc, steady, iters-done)
+		if k > 0 {
+			acc = next
+			done += k
+			continue
+		}
+		prev := acc
+		for _, d := range steady {
+			acc += d
+		}
+		if acc == prev {
+			return acc
+		}
+		done++
+	}
+	return acc
+}
+
+// bulkIterations advances the accumulator by up to maxK whole
+// iterations of the steady per-act deltas in closed form, returning the
+// new accumulator and the number of iterations consumed. 0 means the
+// caller must single-step one iteration with real float additions:
+// the accumulator is too close to its binade top (where the rounding
+// granularity changes), is zero/subnormal/non-finite, or a delta's
+// remainder is an exact half ulp (round-half-even then depends on
+// mantissa parity, which varies step to step).
+//
+// Correctness: the accumulator is m*ulp with m in [2^52, 2^53). Each
+// add of d = q*ulp + r yields a true sum (m'+q)*ulp + r that rounds to
+// m'+q ulps (r < ulp/2) or m'+q+1 ulps (r > ulp/2) — independent of m'
+// — provided the sum stays below the binade top. One iteration
+// therefore advances the mantissa by the constant t = sum of per-act
+// increments, and the cap keeps every intermediate true sum strictly
+// inside the binade: rounded mantissas stay <= m+k*t and every true sum
+// is < (m+k*t+1)*ulp < 2^(e+1).
+func bulkIterations(acc float64, steady []float64, maxK int64) (float64, int64) {
+	bits := math.Float64bits(acc)
+	exp := int(bits >> 52 & 0x7ff)
+	// exp <= 1 also excludes the lowest normal binade, where half an ulp
+	// of the binade is not representable and the tie test below would
+	// misround.
+	if exp <= 1 || exp == 0x7ff {
+		return acc, 0
+	}
+	ulp := math.Ldexp(1, exp-1023-52)
+	binadeTop := math.Ldexp(1, exp-1023+1)
+	half := ulp / 2
+	m := int64(1)<<52 | int64(bits&(1<<52-1))
+	var t int64
+	for _, d := range steady {
+		if d >= binadeTop {
+			return acc, 0 // a single add exits the binade
+		}
+		// Exact by construction: ulp is a power of two, and q*ulp / r
+		// are the high / low mantissa bits of d (a subnormal quotient
+		// can only round when d < ulp, where floor is 0 either way).
+		q := math.Floor(d / ulp)
+		r := d - q*ulp
+		inc := int64(q)
+		if r > half {
+			inc++
+		} else if r == half && r != 0 {
+			return acc, 0
+		}
+		t += inc
+	}
+	if t == 0 {
+		// Every add rounds to a no-op; the accumulator never moves
+		// again in this binade.
+		return acc, maxK
+	}
+	room := (int64(1)<<53 - 1) - int64(len(steady)) - 1 - m
+	k := room / t
+	if k > maxK {
+		k = maxK
+	}
+	if k <= 0 {
+		return acc, 0
+	}
+	return math.Ldexp(float64(m+k*t), exp-1023-52), k
+}
+
+// TestFastForwardKernelMatchesNaive cross-checks the float and the
+// integer stepper (flipIteration and accAfter, flipIterationPre and
+// accAfterPre) against executing the additions one by one, over random
 // delta schedules spanning many magnitudes plus hand-built adversarial
 // cases (rounding stalls, exact round-half-even ties, zero deltas).
 func TestFastForwardKernelMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xfa57))
 	check := func(name string, first, steady []float64, maxIters int64) {
 		t.Helper()
+		var bs bankSolve
+		if !bs.project(steady) {
+			t.Fatalf("%s: project rejected steady=%v", name, steady)
+		}
 		wantIter, wantOK := naiveFlip(first, steady, maxIters)
 		gotIter, gotOK := flipIteration(first, steady, maxIters)
 		if gotIter != wantIter || gotOK != wantOK {
 			t.Fatalf("%s: flipIteration = %d,%v, naive = %d,%v (first=%v steady=%v)",
+				name, gotIter, gotOK, wantIter, wantOK, first, steady)
+		}
+		gotIter, gotOK = flipIterationPre(first, steady, bs.md, bs.ed, maxIters)
+		if gotIter != wantIter || gotOK != wantOK {
+			t.Fatalf("%s: flipIterationPre = %d,%v, naive = %d,%v (first=%v steady=%v)",
 				name, gotIter, gotOK, wantIter, wantOK, first, steady)
 		}
 		cap := wantIter - 1
@@ -68,10 +223,15 @@ func TestFastForwardKernelMatchesNaive(t *testing.T) {
 			if iters < 0 {
 				continue
 			}
-			got := accAfter(first, steady, iters)
 			want := naiveAccAfter(first, steady, iters)
+			got := accAfter(first, steady, iters)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s: accAfter(%d) = %v (%x), naive = %v (%x)",
+					name, iters, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			got = accAfterPre(first, steady, bs.md, bs.ed, iters)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: accAfterPre(%d) = %v (%x), naive = %v (%x)",
 					name, iters, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
@@ -102,6 +262,49 @@ func TestFastForwardKernelMatchesNaive(t *testing.T) {
 	check("first iter flip", []float64{0.6, 0.6}, []float64{0.1, 0.1}, 10)
 	check("huge delta", []float64{0.9}, []float64{64.0}, 10)
 	check("crossing near one", []float64{0.125}, []float64{0.12499999999}, 100)
+}
+
+// TestSolveFlipHorizonRejectsUnprojectableProfile pins the one branch
+// of the integer-only solve: a real damage profile (captured by a bank
+// engine's fast-forward) solves, and the same profile with one steady
+// delta overwritten by +Inf, -1 or NaN reports not-ok, which sends the
+// engines to act-by-act execution.
+func TestSolveFlipHorizonRejectsUnprojectableProfile(t *testing.T) {
+	mi, err := chipdb.ByID("S1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := device.DefaultParams()
+	spec, err := pattern.New(pattern.DoubleSided, timing.Table2Marks()[1], timing.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewBankEngine(mkBank(t, mi.Profile(params), params, 0, nil))
+	if _, err := e.CharacterizeRow(100, spec, RunOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	prof := &e.prof
+	if prof.NumCells() == 0 {
+		t.Fatal("the engine captured no damage profile")
+	}
+	const maxIters = 1 << 20
+	want, ok := solveFlipHorizon(prof, &e.bsolve, maxIters)
+	if !ok {
+		t.Fatal("solveFlipHorizon rejected a real damage profile")
+	}
+	for _, bad := range []float64{math.Inf(1), -1, math.NaN()} {
+		for _, i := range []int{0, len(prof.Steady) / 2, len(prof.Steady) - 1} {
+			saved := prof.Steady[i]
+			prof.Steady[i] = bad
+			if h, ok := solveFlipHorizon(prof, &e.bsolve, maxIters); ok {
+				t.Errorf("Steady[%d] = %v: solveFlipHorizon = %d, ok; want not ok", i, bad, h)
+			}
+			prof.Steady[i] = saved
+		}
+	}
+	if got, ok := solveFlipHorizon(prof, &e.bsolve, maxIters); !ok || got != want {
+		t.Errorf("restored profile: solveFlipHorizon = %d, %v; want %d, true", got, ok, want)
+	}
 }
 
 // mkBank builds a bank for one engine comparison run.

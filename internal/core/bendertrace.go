@@ -227,8 +227,8 @@ func (e *traceEngine) CharacterizeRow(victim int, spec pattern.Spec, opts RunOpt
 // horizon, and — when the horizon is far enough to be worth it — seeks
 // the bank to guardIters iterations before it, returning how many
 // iterations were skipped. 0 means the interpreter must run the loop
-// from the start (unprofilable row, horizon too close, or seek
-// refused); the bank is untouched in that case.
+// from the start (unprofilable row, unsolvable profile, horizon too
+// close, or seek refused); the bank is untouched in that case.
 func (e *traceEngine) planJump(victim int, loop *bender.HammerLoop, maxIters int64) int64 {
 	e.profActs = e.profActs[:0]
 	for _, a := range loop.Acts {
@@ -241,7 +241,10 @@ func (e *traceEngine) planJump(victim int, loop *bender.HammerLoop, maxIters int
 	if err := e.bank.FillDamageProfile(&e.prof, victim, e.profActs, loop.IterTime); err != nil {
 		return 0
 	}
-	horizon, fast := solveFlipHorizon(&e.prof, &e.bsolve, maxIters)
+	horizon, ok := solveFlipHorizon(&e.prof, &e.bsolve, maxIters)
+	if !ok {
+		return 0
+	}
 	startIter := horizon - guardIters
 	if horizon > maxIters {
 		startIter = maxIters + 1
@@ -250,7 +253,7 @@ func (e *traceEngine) planJump(victim int, loop *bender.HammerLoop, maxIters int
 		return 0
 	}
 	skipped := startIter - 1
-	e.accs = seekAccsAt(&e.prof, &e.bsolve, fast, skipped, e.accs)
+	e.accs = seekAccsAt(&e.prof, &e.bsolve, skipped, e.accs)
 	strong, weak := e.prof.SideSeekAt(skipped, loop.IterTime)
 	// The interpreter's loop runs one TCK late relative to the profile
 	// frame (the SET executes before iteration 1 starts); shift the

@@ -7,8 +7,11 @@ package core
 // exports, and Seed reconstructs the right fold from that state.
 //
 // Contract: Observe is called in a deterministic (die/chip, run, row)
-// order — finishCell replays per-die buffers in that order precisely
-// so fold state is byte-identical across schedulers and shards.
+// order, so fold state is byte-identical across schedulers and shards.
+// Study.Run's per-die helper stores each die's or chip's results in
+// (run, row) slots whatever order its engine ran them in; finishCell
+// folds a grid cell's dies in order, and runBlock folds a fleet
+// block's chips in ascending order, each as soon as it completes.
 // State must be deterministic (equal observation streams yield equal
 // serialized states) and must not mutate the fold.
 type Fold interface {

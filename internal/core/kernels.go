@@ -56,9 +56,10 @@ import (
 // or past the view's logical length compute garbage into pad slots
 // that no consumer reads.
 
-// solveLanes is the lane padding of every kernel buffer: enough for
-// the widest kernel (8 x float64 = one AVX-512 ZMM register). It is
-// pinned to device.SolveLanes, the padding SolveView guarantees.
+// solveLanes is the lane padding of every kernel buffer: a multiple of
+// every kernel's lane step (4 x float64), so no kernel needs a scalar
+// tail. It is pinned to device.SolveLanes, the padding SolveView
+// guarantees.
 const solveLanes = device.SolveLanes
 
 // damageKernArgs carries one kernel call's operands in a fixed layout

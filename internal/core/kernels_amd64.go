@@ -14,28 +14,17 @@ func damageSplitAVX2(k *damageKernArgs)
 //go:noescape
 func damageFusedAVX2(k *damageKernArgs)
 
-//go:noescape
-func damageSplitAVX512(k *damageKernArgs)
-
-//go:noescape
-func damageFusedAVX512(k *damageKernArgs)
-
 // pickDamageKernels chooses the kernel for the running CPU: AVX2
 // assembly when CPUID says so (whatever GOAMD64 the binary was
-// compiled for), otherwise the scalar reference. The AVX-512 kernels
-// exist and are kept bit-exact by the parity tests, but AVX2 stays the
-// default even where AVX-512 is available: the damage kernels are
+// compiled for), otherwise the scalar reference. AVX2 is also the
+// choice where AVX-512 is available: the damage kernels are
 // divide-bound, VDIVPD's per-element throughput does not improve at
-// 512 bits on current parts, and row batches are a handful of ZMM
-// iterations — too short to amortize the wider pipeline's startup.
-// The selection is per-process and happens before main.
+// 512 bits on current parts, and row batches are too short to amortize
+// a wider pipeline's startup, so no AVX-512 variant is kept. The
+// selection is per-process and happens before main.
 func pickDamageKernels() (split, fused func(*damageKernArgs), level string) {
 	if cpu.X86.HasAVX2 {
 		return damageSplitAVX2, damageFusedAVX2, "avx2"
 	}
 	return damageSplitScalar, damageFusedScalar, "scalar"
 }
-
-// bankFastEnabled turns on the integer-stepping bulk fast-forward
-// solver (bankbatch.go); purego builds keep the float reference.
-const bankFastEnabled = true

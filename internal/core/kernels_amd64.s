@@ -173,165 +173,3 @@ fusedinit:
 fuseddone:
 	VZEROUPPER
 	RET
-
-// The AVX-512 widenings of the same kernels: identical operation
-// order, 8 lanes (one ZMM) per step instead of 4. n is a multiple of
-// 8 (solveLanes), so there is no tail here either.
-
-// func damageSplitAVX512(k *damageKernArgs)
-TEXT ·damageSplitAVX512(SB), NOSPLIT, $0-8
-	MOVQ k+0(FP), AX
-	MOVQ 0(AX), DI             // st
-	MOVQ 8(AX), SI             // fi
-	MOVQ 16(AX), R8            // tot
-	MOVQ 24(AX), R9            // ft
-	MOVQ 32(AX), R10           // synS
-	MOVQ 40(AX), R11           // synF
-	MOVQ 48(AX), R12           // ws
-	MOVQ 56(AX), R13           // th
-	MOVQ 64(AX), R14           // tp
-	VBROADCASTSD 72(AX), Z10   // boost
-	VBROADCASTSD 80(AX), Z11   // se
-	VBROADCASTSD 88(AX), Z12   // fe
-	VBROADCASTSD 96(AX), Z13   // weakSide
-	VBROADCASTSD 104(AX), Z14  // tf
-	MOVQ 112(AX), CX           // n
-	SHLQ $3, CX                // -> bytes
-	XORQ BX, BX
-	MOVQ 120(AX), DX           // init
-	TESTQ DX, DX
-	JNZ  splitinit512
-
-splitloop512:
-	CMPQ BX, CX
-	JGE  splitdone512
-	VMOVUPD (R10)(BX*1), Z0    // synS
-	VMULPD  Z10, Z0, Z0        // hs = boost*synS
-	VMOVUPD (R12)(BX*1), Z2    // ws
-	VMULPD  Z13, Z2, Z2        // sf = weakSide*ws
-	VMOVUPD (R13)(BX*1), Z3    // th
-	VMOVUPD (R14)(BX*1), Z4    // tp
-	VDIVPD  Z3, Z0, Z0         // hs/th
-	VMULPD  Z11, Z2, Z5        // se*sf
-	VDIVPD  Z4, Z5, Z5         // (se*sf)/tp
-	VADDPD  Z5, Z0, Z0
-	VMULPD  Z14, Z0, Z0        // st = tf*(...)
-	VMOVUPD Z0, (DI)(BX*1)
-	VMOVUPD (R8)(BX*1), Z6
-	VADDPD  Z0, Z6, Z6         // tot += st
-	VMOVUPD Z6, (R8)(BX*1)
-	VMOVUPD (R11)(BX*1), Z1    // synF
-	VMULPD  Z10, Z1, Z1        // hf = boost*synF
-	VDIVPD  Z3, Z1, Z1         // hf/th
-	VMULPD  Z12, Z2, Z7        // fe*sf
-	VDIVPD  Z4, Z7, Z7         // (fe*sf)/tp
-	VADDPD  Z7, Z1, Z1
-	VMULPD  Z14, Z1, Z1        // fi = tf*(...)
-	VMOVUPD Z1, (SI)(BX*1)
-	VMOVUPD (R9)(BX*1), Z8
-	VADDPD  Z1, Z8, Z8         // ft += fi
-	VMOVUPD Z8, (R9)(BX*1)
-	ADDQ $64, BX
-	JMP  splitloop512
-
-splitinit512:
-	CMPQ BX, CX
-	JGE  splitdone512
-	VMOVUPD (R10)(BX*1), Z0    // synS
-	VMULPD  Z10, Z0, Z0        // hs = boost*synS
-	VMOVUPD (R12)(BX*1), Z2    // ws
-	VMULPD  Z13, Z2, Z2        // sf = weakSide*ws
-	VMOVUPD (R13)(BX*1), Z3    // th
-	VMOVUPD (R14)(BX*1), Z4    // tp
-	VDIVPD  Z3, Z0, Z0         // hs/th
-	VMULPD  Z11, Z2, Z5        // se*sf
-	VDIVPD  Z4, Z5, Z5         // (se*sf)/tp
-	VADDPD  Z5, Z0, Z0
-	VMULPD  Z14, Z0, Z0        // st = tf*(...)
-	VMOVUPD Z0, (DI)(BX*1)
-	VMOVUPD Z0, (R8)(BX*1)     // tot = st
-	VMOVUPD (R11)(BX*1), Z1    // synF
-	VMULPD  Z10, Z1, Z1        // hf = boost*synF
-	VDIVPD  Z3, Z1, Z1         // hf/th
-	VMULPD  Z12, Z2, Z7        // fe*sf
-	VDIVPD  Z4, Z7, Z7         // (fe*sf)/tp
-	VADDPD  Z7, Z1, Z1
-	VMULPD  Z14, Z1, Z1        // fi = tf*(...)
-	VMOVUPD Z1, (SI)(BX*1)
-	VMOVUPD Z1, (R9)(BX*1)     // ft = fi
-	ADDQ $64, BX
-	JMP  splitinit512
-
-splitdone512:
-	VZEROUPPER
-	RET
-
-// func damageFusedAVX512(k *damageKernArgs)
-TEXT ·damageFusedAVX512(SB), NOSPLIT, $0-8
-	MOVQ k+0(FP), AX
-	MOVQ 0(AX), DI             // st
-	MOVQ 16(AX), R8            // tot
-	MOVQ 24(AX), R9            // ft
-	MOVQ 32(AX), R10           // synS
-	MOVQ 48(AX), R12           // ws
-	MOVQ 56(AX), R13           // th
-	MOVQ 64(AX), R14           // tp
-	VBROADCASTSD 72(AX), Z10   // boost
-	VBROADCASTSD 80(AX), Z11   // se
-	VBROADCASTSD 96(AX), Z13   // weakSide
-	VBROADCASTSD 104(AX), Z14  // tf
-	MOVQ 112(AX), CX           // n
-	SHLQ $3, CX
-	XORQ BX, BX
-	MOVQ 120(AX), DX           // init
-	TESTQ DX, DX
-	JNZ  fusedinit512
-
-fusedloop512:
-	CMPQ BX, CX
-	JGE  fuseddone512
-	VMOVUPD (R10)(BX*1), Z0    // synS
-	VMULPD  Z10, Z0, Z0        // hs = boost*synS
-	VMOVUPD (R12)(BX*1), Z2    // ws
-	VMULPD  Z13, Z2, Z2        // sf = weakSide*ws
-	VMOVUPD (R13)(BX*1), Z3    // th
-	VMOVUPD (R14)(BX*1), Z4    // tp
-	VDIVPD  Z3, Z0, Z0         // hs/th
-	VMULPD  Z11, Z2, Z5        // se*sf
-	VDIVPD  Z4, Z5, Z5         // (se*sf)/tp
-	VADDPD  Z5, Z0, Z0
-	VMULPD  Z14, Z0, Z0        // st = tf*(...)
-	VMOVUPD Z0, (DI)(BX*1)
-	VMOVUPD (R8)(BX*1), Z6
-	VADDPD  Z0, Z6, Z6         // tot += st
-	VMOVUPD Z6, (R8)(BX*1)
-	VMOVUPD (R9)(BX*1), Z8
-	VADDPD  Z0, Z8, Z8         // ft += st
-	VMOVUPD Z8, (R9)(BX*1)
-	ADDQ $64, BX
-	JMP  fusedloop512
-
-fusedinit512:
-	CMPQ BX, CX
-	JGE  fuseddone512
-	VMOVUPD (R10)(BX*1), Z0    // synS
-	VMULPD  Z10, Z0, Z0        // hs = boost*synS
-	VMOVUPD (R12)(BX*1), Z2    // ws
-	VMULPD  Z13, Z2, Z2        // sf = weakSide*ws
-	VMOVUPD (R13)(BX*1), Z3    // th
-	VMOVUPD (R14)(BX*1), Z4    // tp
-	VDIVPD  Z3, Z0, Z0         // hs/th
-	VMULPD  Z11, Z2, Z5        // se*sf
-	VDIVPD  Z4, Z5, Z5         // (se*sf)/tp
-	VADDPD  Z5, Z0, Z0
-	VMULPD  Z14, Z0, Z0        // st = tf*(...)
-	VMOVUPD Z0, (DI)(BX*1)
-	VMOVUPD Z0, (R8)(BX*1)     // tot = st
-	VMOVUPD Z0, (R9)(BX*1)     // ft = st
-	ADDQ $64, BX
-	JMP  fusedinit512
-
-fuseddone512:
-	VZEROUPPER
-	RET
-

@@ -17,10 +17,6 @@ func pickDamageKernels() (split, fused func(*damageKernArgs), level string) {
 	return damageSplitNEON, damageFusedNEON, "neon"
 }
 
-// bankFastEnabled turns on the integer-stepping bulk fast-forward
-// solver (bankbatch.go); purego builds keep the float reference.
-const bankFastEnabled = true
-
 func damageSplitNEON(k *damageKernArgs) {
 	n := int(k.n)
 	st, fi := unsafe.Slice(k.st, n), unsafe.Slice(k.fi, n)

@@ -8,8 +8,3 @@ package core
 func pickDamageKernels() (split, fused func(*damageKernArgs), level string) {
 	return damageSplitScalar, damageFusedScalar, "scalar"
 }
-
-// bankFastEnabled gates the integer-stepping bulk fast-forward solver
-// (bankbatch.go). Under purego the original float closed-form path in
-// bankfast.go runs instead, as the bit-exactness reference.
-const bankFastEnabled = false

@@ -5,15 +5,11 @@ package core
 import "rowfuse/internal/cpu"
 
 // vectorKernelsUnderTest enumerates every vector kernel compiled into
-// this binary that the running CPU can execute, so the parity tests
-// cover AVX-512 even though pickDamageKernels prefers AVX2.
+// this binary that the running CPU can execute.
 func vectorKernelsUnderTest() []kernelUnderTest {
 	var ks []kernelUnderTest
 	if cpu.X86.HasAVX2 {
 		ks = append(ks, kernelUnderTest{"avx2", damageSplitAVX2, damageFusedAVX2})
-	}
-	if cpu.X86.HasAVX512 {
-		ks = append(ks, kernelUnderTest{"avx512", damageSplitAVX512, damageFusedAVX512})
 	}
 	return ks
 }

@@ -9,8 +9,8 @@ import (
 
 // kernelUnderTest names one vector kernel pair the running binary can
 // execute; vectorKernelsUnderTest (per-arch test files) enumerates
-// them — including implementations the dispatcher does not prefer,
-// like AVX-512, so their bit-exactness stays pinned.
+// them, so each one's bit-exactness stays pinned whichever the
+// dispatcher picks.
 type kernelUnderTest struct {
 	name         string
 	split, fused func(*damageKernArgs)

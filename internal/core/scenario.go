@@ -229,9 +229,16 @@ type EngineEnv struct {
 // EngineScratch is one goroutine's reusable engine storage. Study.Run
 // gives each of its pool goroutines one, so the bank-backed engines of
 // successive cells reuse one bank's row storage instead of allocating
-// it per (cell, die, run). Not safe for concurrent use.
+// it per (cell, die, run), and the row results of successive dies and
+// fleet chips pass through one set of buffers. Not safe for concurrent
+// use.
 type EngineScratch struct {
 	bank *device.Bank
+	// res is the analytic engine's reused row result; obs and flips
+	// hold a fleet chip's results (see Study.runBlock).
+	res   RowResult
+	obs   []RowObservation
+	flips []device.Bitflip
 }
 
 // NewBank returns a bank in exactly the state device.NewBank(cfg)

@@ -269,25 +269,32 @@ func NewStudy(cfg StudyConfig) *Study {
 // Config returns the effective (defaulted) configuration.
 func (s *Study) Config() StudyConfig { return s.cfg }
 
-// cellJob is one (module, pattern, tAggON) cell of a run, split into
-// per-die work units so fat cells (8/16-die modules) spread across the
-// worker pool instead of serializing behind one worker.
+// cellJob is one cell of a run: a (module, pattern, tAggON, scenario)
+// cell of the grid, split into per-die tasks so fat cells (8/16-die
+// modules) spread across the worker pool instead of serializing behind
+// one worker, or a fleet block, which is one task (its chips must
+// stream through the fold in ascending order, and blocks are numerous
+// enough to keep the pool busy).
 type cellJob struct {
-	key      CellKey
-	mi       chipdb.ModuleInfo
-	spec     pattern.Spec
-	profile  device.Profile // module-level; DieProfile is applied per die
-	rows     []int
-	numRows  int
-	rowBytes int
-	dies     int
+	key  CellKey
+	spec pattern.Spec
 	// scenario is the cell's point on the scenario axis and opts the
 	// study RunOpts with the scenario's overrides already resolved
 	// (thermal settle included).
 	scenario Scenario
 	opts     RunOpts
 
-	// pending counts die units still running; the worker that drops it
+	// block is a fleet cell's chip block.
+	block int
+
+	// The grid cell's module, its module-level profile (DieProfile is
+	// applied per die), victim rows and geometry.
+	mi       chipdb.ModuleInfo
+	profile  device.Profile
+	rows     []int
+	numRows  int
+	rowBytes int
+	// pending counts die tasks still running; the worker that drops it
 	// to zero folds dieObs into the cell's aggregate.
 	pending atomic.Int32
 	// dieObs holds each die's observations in (run, row) order, so the
@@ -296,8 +303,9 @@ type cellJob struct {
 	dieObs [][]RowObservation
 }
 
-// dieTask is one schedulable work unit: one die of one cell.
-type dieTask struct {
+// task is one schedulable work unit: one die of a grid cell, or a
+// whole fleet block.
+type task struct {
 	job *cellJob
 	die int
 }
@@ -315,6 +323,9 @@ type popCacheKey struct {
 type popCaches struct {
 	mu      sync.Mutex
 	entries map[popCacheKey]*popCacheEntry
+	// cells counts each module's analytic-engine cells in the run: a
+	// (module, die) cache starts with that many references.
+	cells map[string]int
 }
 
 type popCacheEntry struct {
@@ -322,14 +333,13 @@ type popCacheEntry struct {
 	refs  int
 }
 
-// acquire returns the (module, die) cache, creating it with refs
-// references on first touch.
-func (p *popCaches) acquire(key popCacheKey, refs int, mk func() *device.PopulationCache) *device.PopulationCache {
+// acquire returns the (module, die) cache, creating it on first touch.
+func (p *popCaches) acquire(key popCacheKey, mk func() *device.PopulationCache) *device.PopulationCache {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e, ok := p.entries[key]
 	if !ok {
-		e = &popCacheEntry{cache: mk(), refs: refs}
+		e = &popCacheEntry{cache: mk(), refs: p.cells[key.module]}
 		p.entries[key] = e
 	}
 	return e.cache
@@ -346,12 +356,14 @@ func (p *popCaches) release(key popCacheKey) {
 	}
 }
 
-// Run executes every (module, pattern, tAggON) cell of this study's
-// shard on a bounded worker pool, skipping cells already present (for
-// example after Seed restored them from a checkpoint). Each cell is
-// split into per-die work units; a cell completes (for progress and
-// checkpoint purposes) when all of its dies have been folded in. It is
-// safe to call once; results are cached for the figure and table
+// Run executes every cell of this study's shard on a bounded worker
+// pool, skipping cells already present (for example after Seed
+// restored them from a checkpoint). Grid cells and fleet blocks share
+// the pool, the checkpoint and progress rule, and the per-goroutine
+// engine storage; only the tasks differ. A grid cell is split into
+// per-die tasks and completes (for progress and checkpoint purposes)
+// when all of its dies have been folded in; a fleet block is one task.
+// It is safe to call once; results are cached for the figure and table
 // extractors.
 func (s *Study) Run(ctx context.Context) error {
 	if err := s.cfg.Shard.Validate(); err != nil {
@@ -360,8 +372,11 @@ func (s *Study) Run(ctx context.Context) error {
 	if err := s.cfg.validateScenarios(); err != nil {
 		return err
 	}
-	if s.cfg.Fleet != nil {
-		return s.runFleet(ctx)
+	fleet := s.cfg.Fleet
+	if fleet != nil {
+		if err := fleet.Validate(); err != nil {
+			return err
+		}
 	}
 	byID := make(map[string]chipdb.ModuleInfo, len(s.cfg.Modules))
 	for _, mi := range s.cfg.Modules {
@@ -386,11 +401,12 @@ func (s *Study) Run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	var jobs []*cellJob
-	// cellsPerModule counts only analytic-engine cells: it seeds the
-	// population-cache refcounts, and bank-backed scenario engines
-	// never touch the cache.
-	cellsPerModule := make(map[string]int)
+	// pops.cells counts only analytic-engine grid cells: it seeds the
+	// population-cache refcounts, and fleet chips and bank-backed
+	// scenario engines never touch the cache.
+	pops := &popCaches{entries: make(map[popCacheKey]*popCacheEntry), cells: make(map[string]int)}
+	var tasks []task
+	cells := 0
 	for idx, key := range grid {
 		if !selected(idx) {
 			continue
@@ -398,45 +414,43 @@ func (s *Study) Run(ctx context.Context) error {
 		if _, ok := s.ResultCell(key); ok {
 			continue // restored from a checkpoint
 		}
-		mi := byID[key.Module]
 		spec, err := pattern.New(key.Kind, key.AggOn, s.cfg.Timings)
 		if err != nil {
-			return fmt.Errorf("module %s: %w", mi.ID, err)
+			return fmt.Errorf("cell %v: %w", key, err)
 		}
+		job := &cellJob{key: key, spec: spec, scenario: scByID[key.Scenario], opts: optsByID[key.Scenario]}
+		cells++
+		if fleet != nil {
+			block, ok := ParseFleetBlockID(key.Module)
+			if !ok || block >= fleet.Blocks() {
+				return fmt.Errorf("core: fleet cell %v: bad block id", key)
+			}
+			job.block = block
+			tasks = append(tasks, task{job: job})
+			continue
+		}
+		mi := byID[key.Module]
 		numRows, rowBytes := mi.Geometry()
 		dies := mi.NumChips
 		if s.cfg.Dies > 0 && s.cfg.Dies < dies {
 			dies = s.cfg.Dies
 		}
-		job := &cellJob{
-			key:      key,
-			mi:       mi,
-			spec:     spec,
-			profile:  mi.Profile(s.cfg.Params),
-			rows:     PaperRows(numRows, s.cfg.RowsPerRegion),
-			numRows:  numRows,
-			rowBytes: rowBytes,
-			dies:     dies,
-			scenario: scByID[key.Scenario],
-			opts:     optsByID[key.Scenario],
-			dieObs:   make([][]RowObservation, dies),
-		}
+		job.mi = mi
+		job.profile = mi.Profile(s.cfg.Params)
+		job.rows = PaperRows(numRows, s.cfg.RowsPerRegion)
+		job.numRows, job.rowBytes = numRows, rowBytes
+		job.dieObs = make([][]RowObservation, dies)
 		job.pending.Store(int32(dies))
-		jobs = append(jobs, job)
 		if job.scenario.usesAnalytic() {
-			cellsPerModule[key.Module]++
+			pops.cells[key.Module]++
+		}
+		for die := 0; die < dies; die++ {
+			tasks = append(tasks, task{job: job, die: die})
 		}
 	}
-	var tasks []dieTask
-	for _, job := range jobs {
-		for die := 0; die < job.dies; die++ {
-			tasks = append(tasks, dieTask{job: job, die: die})
-		}
-	}
-	pops := &popCaches{entries: make(map[popCacheKey]*popCacheEntry)}
-	ck := s.newCheckpointer(len(jobs))
+	ck := s.newCheckpointer(cells)
 
-	taskCh := make(chan dieTask)
+	taskCh := make(chan task)
 	errCh := make(chan error, 1)
 	fail := func(err error) {
 		select {
@@ -451,30 +465,22 @@ func (s *Study) Run(ctx context.Context) error {
 			defer wg.Done()
 			scratch := new(EngineScratch)
 			for t := range taskCh {
-				job := t.job
-				var cache *device.PopulationCache
-				cacheKey := popCacheKey{module: job.mi.ID, die: t.die}
-				if job.scenario.usesAnalytic() {
-					cache = pops.acquire(cacheKey, cellsPerModule[job.mi.ID], func() *device.PopulationCache {
-						return device.NewPopulationCache(
-							device.DieProfile(job.profile, t.die), s.cfg.Params, s.cfg.Bank, job.rowBytes*8)
-					})
-				}
-				obs, err := s.runCellDie(job, t.die, cache, scratch)
-				if cache != nil {
-					pops.release(cacheKey)
+				var res *ModuleResult
+				var err error
+				if fleet != nil {
+					res, err = s.runBlock(t.job, scratch)
+				} else {
+					res, err = s.runDie(t.job, t.die, pops, scratch)
 				}
 				if err != nil {
 					fail(err)
 					return
 				}
-				job.dieObs[t.die] = obs
-				if job.pending.Add(-1) != 0 {
-					continue
+				if res == nil {
+					continue // other dies of the cell are still running
 				}
-				res := s.finishCell(job)
 				s.mu.Lock()
-				s.results[job.key] = res
+				s.results[t.job.key] = res
 				s.mu.Unlock()
 				if err := ck.cellDone(); err != nil {
 					fail(err)
@@ -524,8 +530,8 @@ const checkpointBudget = 2 * time.Second
 var checkpointNow = time.Now
 
 // checkpointer counts a run's completed cells, reports progress and
-// applies the CheckpointEvery rule. The grid and fleet pools share
-// it; their goroutines call cellDone concurrently.
+// applies the CheckpointEvery rule. The pool goroutines call cellDone
+// concurrently.
 type checkpointer struct {
 	s     *Study
 	total int
@@ -682,17 +688,11 @@ func (s *Study) Seed(cells map[CellKey]AggregateState) error {
 	return nil
 }
 
-// runCellDie characterizes one die of one (module, pattern, tAggON,
-// scenario) cell across rows and repeats. The analytic path iterates
-// row-major so each row's cached base population (shared through cache
-// across every cell of the same die) serves all repeats, but stores
-// observations in (run, row) order so the final fold replays a
-// sequential run's order exactly. Bank-backed scenario engines iterate
-// run-major instead: each run gets a freshly built engine whose bank
-// carries that run's noise seed (the bank ignores RunOpts.Run), stored
-// in the same (run, row) slots. Those engines are built from scratch,
-// the calling pool goroutine's storage.
-func (s *Study) runCellDie(job *cellJob, die int, cache *device.PopulationCache, scratch *EngineScratch) ([]RowObservation, error) {
+// runDie characterizes one die of a grid cell. Analytic-engine cells
+// share the (module, die) base-population cache across every cell of
+// the die. The goroutine that finishes the cell's last die folds the
+// cell and returns it; the others return nil.
+func (s *Study) runDie(job *cellJob, die int, pops *popCaches, scratch *EngineScratch) (*ModuleResult, error) {
 	env := EngineEnv{
 		Profile:  device.DieProfile(job.profile, die),
 		Params:   s.cfg.Params,
@@ -700,18 +700,43 @@ func (s *Study) runCellDie(job *cellJob, die int, cache *device.PopulationCache,
 		Bank:     s.cfg.Bank,
 		NumRows:  job.numRows,
 		RowBytes: job.rowBytes,
-		PopCache: cache,
 		Scratch:  scratch,
 	}
+	if job.scenario.usesAnalytic() {
+		key := popCacheKey{module: job.mi.ID, die: die}
+		env.PopCache = pops.acquire(key, func() *device.PopulationCache {
+			return device.NewPopulationCache(env.Profile, s.cfg.Params, s.cfg.Bank, job.rowBytes*8)
+		})
+		defer pops.release(key)
+	}
+	obs := make([]RowObservation, s.cfg.Runs*len(job.rows))
+	if _, err := s.characterize(job, env, job.rows, die, obs, nil); err != nil {
+		return nil, err
+	}
+	job.dieObs[die] = obs
+	if job.pending.Add(-1) != 0 {
+		return nil, nil
+	}
+	return s.finishCell(job), nil
+}
+
+// characterize measures every (run, row) of one die of a grid cell, or
+// of one chip of a fleet block (die is then the chip index), on the
+// cell's scenario engine built from env. The analytic engine iterates
+// row-major, so each row's base population serves every run.
+// Bank-backed engines iterate run-major instead: each run gets a
+// freshly built engine whose bank carries that run's noise seed (the
+// bank ignores RunOpts.Run), built from env.Scratch, the calling pool
+// goroutine's storage. Either way result (run, ri) lands in
+// obs[run*len(rows)+ri], so a fold reading obs in order replays a
+// sequential run's (run, row) order. Engines reuse res.Flips, so each
+// result's flips are copied out once, into arena (one amortized
+// allocation instead of one per flipped row), which is returned grown.
+func (s *Study) characterize(job *cellJob, env EngineEnv, rows []int, die int, obs []RowObservation, arena []device.Bitflip) ([]device.Bitflip, error) {
 	runs := s.cfg.Runs
-	obs := make([]RowObservation, runs*len(job.rows))
 	opts := job.opts
-	// arena backs the retained flip slices: engines reuse res.Flips, so
-	// each observation's flips are copied out once, into one amortized
-	// allocation instead of one per flipped row.
-	var arena []device.Bitflip
 	store := func(run, ri int, res *RowResult) {
-		o := &obs[run*len(job.rows)+ri]
+		o := &obs[run*len(rows)+ri]
 		o.Die = die
 		o.Run = run
 		o.RowResult = *res
@@ -730,41 +755,49 @@ func (s *Study) runCellDie(job *cellJob, die int, cache *device.PopulationCache,
 			Bank:     env.Bank,
 			NumRows:  env.NumRows,
 			RowBytes: env.RowBytes,
-			PopCache: cache,
+			PopCache: env.PopCache,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("module %s die %d: %w", job.mi.ID, die, err)
+			return arena, fmt.Errorf("%s: %w", s.where(job, die), err)
 		}
-		var res RowResult
-		for ri, victim := range job.rows {
+		// The engine reuses res.Flips; store copies each row's flips out.
+		res := &env.Scratch.res
+		for ri, victim := range rows {
 			for run := 0; run < runs; run++ {
 				opts.Run = int64(run)
-				if err := eng.CharacterizeRowInto(victim, job.spec, opts, &res); err != nil {
-					return nil, fmt.Errorf("module %s die %d row %d: %w", job.mi.ID, die, victim, err)
+				if err := eng.CharacterizeRowInto(victim, job.spec, opts, res); err != nil {
+					return arena, fmt.Errorf("%s row %d: %w", s.where(job, die), victim, err)
 				}
-				store(run, ri, &res)
+				store(run, ri, res)
 			}
 		}
-		return obs, nil
+		return arena, nil
 	}
 
 	for run := 0; run < runs; run++ {
 		env.Run = int64(run)
 		eng, err := newScenarioEngine(env, job.scenario)
 		if err != nil {
-			return nil, fmt.Errorf("module %s die %d scenario %q: %w", job.mi.ID, die, job.key.Scenario, err)
+			return arena, fmt.Errorf("%s scenario %q: %w", s.where(job, die), job.key.Scenario, err)
 		}
 		opts.Run = int64(run)
-		for ri, victim := range job.rows {
+		for ri, victim := range rows {
 			res, err := eng.CharacterizeRow(victim, job.spec, opts)
 			if err != nil {
-				return nil, fmt.Errorf("module %s die %d scenario %q row %d: %w",
-					job.mi.ID, die, job.key.Scenario, victim, err)
+				return arena, fmt.Errorf("%s scenario %q row %d: %w", s.where(job, die), job.key.Scenario, victim, err)
 			}
 			store(run, ri, &res)
 		}
 	}
-	return obs, nil
+	return arena, nil
+}
+
+// where names a grid cell's die, or a fleet chip, in errors.
+func (s *Study) where(job *cellJob, die int) string {
+	if s.cfg.Fleet != nil {
+		return fmt.Sprintf("fleet chip %d", die)
+	}
+	return fmt.Sprintf("module %s die %d", job.mi.ID, die)
 }
 
 // finishCell folds the per-die observations of a completed cell into

@@ -9,9 +9,9 @@ import (
 // SolveLanes is the lane padding contract between SolveView and the
 // batch solvers: the float columns' backing arrays always extend to the
 // next multiple of SolveLanes past Len(), so vector kernels may load
-// full lanes without reading unowned memory. The value covers the
-// widest kernel anywhere in the tree (8 x float64 = one AVX-512
-// register); narrower kernels simply enjoy extra slack.
+// full lanes without reading unowned memory. The value is a multiple
+// of every kernel's lane step (4 x float64: one AVX2 register, or the
+// arm64 kernels' 2x2 unroll), so no kernel needs a scalar tail.
 const SolveLanes = 8
 
 // SolveView is the batch-friendly, struct-of-arrays projection of one
