@@ -281,15 +281,16 @@
 // vector kernels: hand-written AVX2 assembly on amd64 (AVX2 also where
 // AVX-512 is available, since the kernels are divide-bound; arm64 gets
 // a NEON-shaped loop), selected by internal/cpu's CPUID/XGETBV probe,
-// with -tags purego as the pure-Go scalar escape hatch. The kernels are bit-exact by
-// construction, not approximately fast: lanes parallelize across
-// cells, never across acts, so each cell's float operations happen in
-// the scalar oracle's exact order, and FMA contraction is forbidden —
-// a fused multiply-add rounds once where the model rounds twice, so
-// the assembly uses only individually-rounding VMULPD/VDIVPD/VADDPD.
-// SolveView columns carry device.SolveLanes padding so full vector
-// loads never touch unowned memory. FuzzDamageKernelParity pins every
-// compiled-in kernel byte-identical to the scalar reference.
+// with -tags purego as the pure-Go scalar escape hatch. The kernels are
+// bit-exact by construction, not approximately fast: lanes parallelize
+// across cells, never across acts, so each cell's float operations
+// happen in the scalar oracle's exact order, and FMA contraction is
+// forbidden — a fused multiply-add rounds once where the model rounds
+// twice, so the assembly uses only individually-rounding
+// VMULPD/VDIVPD/VADDPD. SolveView columns carry device.SolveLanes
+// padding so full vector loads never touch unowned memory.
+// FuzzDamageKernelParity pins every compiled-in kernel byte-identical
+// to the scalar reference.
 //
 // The ground-truth engine (core.BankEngine, driving a simulated
 // device.Bank command by command) fast-forwards over the event
