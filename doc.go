@@ -186,9 +186,13 @@
 //     sizing. The HTTP coordinator re-plans pending, unleased units so
 //     expected unit costs equalize (fat cells split finer, cheap cells
 //     coalesce; the lease's explicit cell set — not the static i/n
-//     plan — is what the worker runs); the serverless directory queue
-//     keeps static units and grants the most expensive remaining unit
-//     first (LPT), since no process owns the plan there.
+//     plan — is what the worker runs). Each re-planned unit is a
+//     contiguous run of the module-major grid, so it touches few
+//     modules and builds each of their (die, row) populations once,
+//     where units dealt round-robin would each rebuild them all. The
+//     serverless directory queue keeps static units and grants the
+//     most expensive remaining unit first (LPT), since no process owns
+//     the plan there.
 //   - Workers write intra-unit checkpoints (Queue.SavePartial) by
 //     compute time, once about two seconds of compute have passed since
 //     the last one (or every N completed cells with -partial-every N),

@@ -34,6 +34,8 @@ type PopulationCache struct {
 	mu   sync.Mutex
 	pops atomic.Pointer[[]atomic.Pointer[popEntry]]
 	n    atomic.Int64
+	// used is the bit set every build reuses; builds run under mu.
+	used Bitset
 }
 
 // popEntry is one immutable (row, population) pair; slots hold nil
@@ -122,7 +124,8 @@ func (c *PopulationCache) Get(row int) *RowPopulation {
 		c.pops.Store(&next)
 		t = next
 	}
-	rp := NewRowPopulation(c.profile, c.params, c.bank, row, c.rowBits)
+	rp := &RowPopulation{}
+	rp.build(c.profile, c.params, c.bank, row, c.rowBits, &c.used)
 	mask := uint64(len(t) - 1)
 	i := popHash(row)
 	for t[i&mask].Load() != nil {

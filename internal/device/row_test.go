@@ -2,6 +2,7 @@ package device
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -97,12 +98,24 @@ func TestPopulationCache(t *testing.T) {
 	if c.Len() != 1 {
 		t.Errorf("cache holds %d rows, want 1", c.Len())
 	}
-	got := a.AppendCells(nil, 0)
-	want := GenerateRowCells(p, d, 0, 9, testRowBits, 0)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cached population cell %d differs from direct generation", i)
+	// Every build through the cache reuses one bit set of assigned
+	// bits; each row must still match direct generation.
+	for _, row := range []int{9, 3, 4095, 200, 8} {
+		got := c.Get(row).AppendCells(nil, 7)
+		want := GenerateRowCells(p, d, 0, row, testRowBits, 7)
+		if !slices.Equal(got, want) {
+			t.Fatalf("cached population of row %d differs from direct generation", row)
 		}
+	}
+	// A miss allocates the population, its cell storage and the table
+	// entry, and no bit set. The table is grown first so that the
+	// measured misses do not resize it.
+	for row := 1000; row < 1100; row++ {
+		c.Get(row)
+	}
+	next := 2000
+	if allocs := testing.AllocsPerRun(20, func() { c.Get(next); next++ }); allocs != 3 {
+		t.Errorf("a cache miss allocates %v objects, want 3", allocs)
 	}
 	if !c.Matches(p, d, 0, testRowBits) {
 		t.Error("Matches rejected the cache's own identity")

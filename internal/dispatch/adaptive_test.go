@@ -133,6 +133,72 @@ func TestMemQueueReplanEqualizesUnitCosts(t *testing.T) {
 	}
 }
 
+// TestReplanKeepsModulesTogether pins the locality of re-planned units
+// on the shape of e2ebench's grid-http campaign (14 modules, 588
+// cells, 16 units). A unit's Study.Run builds the row populations of
+// every module it touches, so the re-planner must hand out contiguous
+// runs of the module-major grid instead of dealing each module's cells
+// across every unit. Every lease after the first is re-planned; as
+// contiguous runs they touch one module each, plus at most one more
+// per module boundary (13 in all). Dealing cells round-robin touches
+// about 200.
+func TestReplanKeepsModulesTogether(t *testing.T) {
+	cfg, err := core.NewCampaignSpecBuilder(core.WithExp("all"), core.WithScale(4, 1, 1)).StudyConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := dispatch.NewManifest(cfg, 16, time.Minute)
+	q, err := dispatch.NewMemQueue(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := core.NewStudy(cfg).Cells()
+	leases := drainWithCosts(t, q, m, cfg)
+	spread := 0
+	for _, cells := range leases[1:] {
+		modules := make(map[string]bool)
+		for _, idx := range cells {
+			modules[grid[idx].Module] = true
+		}
+		spread += len(modules)
+	}
+	if limit := len(leases) - 1 + len(cfg.Modules) - 1; spread > limit {
+		t.Errorf("%d re-planned leases touch %d (lease, module) pairs, want at most %d", len(leases)-1, spread, limit)
+	}
+}
+
+// TestCostModelFirstObservation pins the scale of the first timed
+// submit's attribution: every cell's share comes from the estimates
+// taken before the update, so the unit's estimate afterwards is the
+// elapsed time it reported.
+func TestCostModelFirstObservation(t *testing.T) {
+	m := dispatch.NewManifest(testConfig(t), 4, time.Minute)
+	q, err := dispatch.NewMemQueue(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := q.Acquire("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Submit(l, checkpointForCells(t, m, l.Cells), 90*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	st, err := q.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, us := range st.PerUnit {
+		if us.Unit == l.Unit {
+			if us.EstCostMs != 90 {
+				t.Fatalf("unit %d estimated at %d ms after a 90 ms submit, want 90", us.Unit, us.EstCostMs)
+			}
+			return
+		}
+	}
+	t.Fatalf("status lists no unit %d", l.Unit)
+}
+
 // TestMemQueueWithoutReplanningKeepsStaticUnits pins the opt-out: the
 // manifest's ShardPlan partition must survive cost observations.
 func TestMemQueueWithoutReplanningKeepsStaticUnits(t *testing.T) {

@@ -15,11 +15,13 @@ import (
 // work than a 1-die cell; rows, runs and repeats are grid-constant).
 // Every completed submission then refines the model: the unit's elapsed
 // nanoseconds are attributed to its cells in proportion to their
-// current estimates (exact when a unit is cost-homogeneous, which
-// re-planning drives units toward) and folded into per-class EWMAs,
-// where a class is a (die count, pattern kind) pair. Observed classes
-// predict in nanoseconds; unobserved classes extrapolate through the
-// global ns-per-die rate.
+// estimates before the submission and folded into per-class EWMAs,
+// where a class is a (die count, pattern kind) pair. The split is only
+// as exact as those estimates: a re-planned unit is a contiguous run
+// of the grid that mixes patterns, so its time scales all of its
+// classes by one factor, and classes separate only as far as units
+// differ in their class mix. Observed classes predict in nanoseconds;
+// unobserved classes extrapolate through the global ns-per-die rate.
 //
 // The model is deliberately advisory: it feeds unit re-planning and
 // acquire ordering, never correctness — a wildly wrong estimate costs
@@ -130,10 +132,16 @@ func (cm *costModel) observe(cells []int, elapsedNs int64) {
 	if elapsedNs <= 0 || len(cells) == 0 {
 		return
 	}
+	// Every share comes from the estimates taken before any update: the
+	// first observation switches estimates from prior weight to
+	// nanoseconds, and each class EWMA folded would otherwise feed the
+	// next cell's share.
+	est := make([]float64, len(cells))
 	var totalW, totalEst float64
-	for _, c := range cells {
+	for i, c := range cells {
 		totalW += cm.weight[c]
-		totalEst += cm.estimate(c)
+		est[i] = cm.estimate(c)
+		totalEst += est[i]
 	}
 	if totalW > 0 {
 		cm.nsPerW.observe(float64(elapsedNs) / totalW)
@@ -141,11 +149,8 @@ func (cm *costModel) observe(cells []int, elapsedNs int64) {
 	if totalEst <= 0 {
 		return
 	}
-	// Attribute the elapsed time to cells in proportion to their current
-	// estimates, then fold each share into its class EWMA.
-	for _, c := range cells {
-		share := float64(elapsedNs) * cm.estimate(c) / totalEst
-		cm.classNs[cm.class[c]].observe(share)
+	for i, c := range cells {
+		cm.classNs[cm.class[c]].observe(float64(elapsedNs) * est[i] / totalEst)
 	}
 }
 

@@ -23,7 +23,13 @@
 // MemQueue — the single-coordinator mode — re-plans the still-pending,
 // unleased units after each observation so their expected costs
 // equalize: units holding fat 8/16-die cells split finer, cheap cells
-// coalesce, and the campaign drains without a straggler tail. DirQueue
+// coalesce, and the campaign drains without a straggler tail. The
+// re-planned units are contiguous runs of the canonical grid order,
+// which is module-major, so each touches few modules: a unit's
+// Study.Run builds the weak-cell population of every (module, die,
+// row) it touches once and shares it across that unit's (pattern,
+// tAggON) cells, and a module dealt across every unit would have every
+// unit build it again. DirQueue
 // has no coordinator process that could own such a re-plan (concurrent
 // re-partitions through a shared directory cannot be made atomic), so
 // it keeps the manifest's static units and instead grants the most

@@ -29,10 +29,12 @@ import (
 // MemQueue is the coordinator-ful mode, so it owns the campaign's unit
 // table outright and re-plans it as cost observations arrive: after a
 // submission reports its elapsed time, the still-pending units without
-// intra-unit progress are re-partitioned so their expected costs
-// equalize (see replan). Unit identity is a slot index; re-planning
-// rewrites pending slots' cell sets, retires slots it empties, and
-// appends new slots when splitting calls for more units than exist.
+// intra-unit progress are re-partitioned into contiguous runs of the
+// module-major grid whose expected costs equalize (see replan), so a
+// unit builds the row populations of few modules rather than of
+// every module. Unit identity is a slot index; re-planning rewrites
+// pending slots' cell sets, retires slots it empties, and appends new
+// slots when splitting calls for more units than exist.
 type MemQueue struct {
 	manifest   Manifest
 	grid       map[core.CellKey]int
@@ -163,15 +165,20 @@ func (q *MemQueue) sweep(now time.Time) {
 // no intra-unit checkpoint participate — leased units belong to their
 // workers, done units are history, and a unit with a partial must keep
 // its cell set or the stored progress becomes unusable. The pooled
-// cells are re-binned by LPT (longest processing time first), so units
-// holding fat cells split finer and cheap cells coalesce; re-binning
-// at cell granularity means a single monster cell simply becomes its
-// own unit. The bin size targets the campaign-wide expected cost
-// divided by the manifest's unit count — a fixed point of the
-// re-planning itself (targeting observed unit durations would chase
-// the units it just resized into ever-smaller pieces). A pass with
-// nothing to re-plan commits no record and so leaves the re-plan due,
-// exactly as replay leaves it.
+// cells are sorted into canonical grid order, which is module-major,
+// and cut into contiguous runs of equal expected cost, so units
+// holding fat cells split finer and cheap cells coalesce. A run
+// touches few modules (one or two when units outnumber modules), and
+// its Study.Run builds each of their (die, row) populations once for
+// every (pattern, tAggON) cell; cells dealt across all units would
+// make every unit rebuild them all. Each bin
+// costs less than total/bins plus its costliest cell, and a monster
+// cell of more than two bins' worth becomes its own unit. The bin size
+// targets the campaign-wide expected cost divided by the manifest's
+// unit count — a fixed point of the re-planning itself (targeting
+// observed unit durations would chase the units it just resized into
+// ever-smaller pieces). A pass with nothing to re-plan commits no
+// record and so leaves the re-plan due, exactly as replay leaves it.
 func (q *MemQueue) replan() error {
 	if !q.adapt || !q.replanDirty || !q.cost.observed() {
 		return nil
@@ -213,30 +220,26 @@ func (q *MemQueue) replan() error {
 	if bins > len(cells) {
 		bins = len(cells)
 	}
-	// LPT: place cells, costliest first, into the currently-lightest
-	// bin. Ties and final ordering stay deterministic: cells are sorted
-	// by (cost desc, index asc) and each bin keeps canonical order.
-	sort.Slice(cells, func(a, b int) bool {
-		ca, cb := q.cost.estimate(cells[a]), q.cost.estimate(cells[b])
-		if ca != cb {
-			return ca > cb
-		}
-		return cells[a] < cells[b]
-	})
-	binCells := make([][]int, bins)
-	binCost := make([]float64, bins)
-	for _, c := range cells {
-		best := 0
-		for b := 1; b < bins; b++ {
-			if binCost[b] < binCost[best] {
-				best = b
-			}
-		}
-		binCells[best] = append(binCells[best], c)
-		binCost[best] += q.cost.estimate(c)
+	// Cut the grid-ordered pool where the running cost crosses a
+	// multiple of total/bins: each cell goes to the bin its cost
+	// midpoint falls in. A cell spanning several cut points leaves bins
+	// empty, and no unit is made for them. A pool with no positive cost
+	// is cut by cell count instead.
+	est := q.cost.estimate
+	if !(total > 0) {
+		est, total = func(int) float64 { return 1 }, float64(len(cells))
 	}
-	for b := range binCells {
-		sort.Ints(binCells[b])
+	sort.Ints(cells)
+	var binCells [][]int
+	var run float64
+	last := -1
+	for _, c := range cells {
+		e := est(c)
+		if b := min(int((run+e/2)/total*float64(bins)), bins-1); b != last {
+			binCells, last = append(binCells, nil), b
+		}
+		binCells[len(binCells)-1] = append(binCells[len(binCells)-1], c)
+		run += e
 	}
 	// Write the bins back into the pooled slots; retire leftovers or
 	// append fresh slots as the bin count dictates.
