@@ -33,10 +33,12 @@ func goldenStudy(t *testing.T) *core.Study {
 	return s
 }
 
-// TestGoldenRenderings pins the Table 2 and Fig 4 renderings byte for
-// byte. The golden files were captured from the original (pre-refactor)
-// sequential engine path; any optimization of the analytic hot path must
-// reproduce them exactly. Regenerate deliberately with:
+// TestGoldenRenderings pins the Table 2, Fig 4, Fig 5 and Fig 6
+// renderings byte for byte. The Table 2 and Fig 4 files were captured
+// from the original (pre-refactor) sequential engine path, the Fig 5 and
+// Fig 6 files from the figure extractors before they were simplified;
+// any optimization of the analytic hot path must reproduce them exactly.
+// Regenerate deliberately with:
 //
 //	go test -run TestGoldenRenderings -update
 func TestGoldenRenderings(t *testing.T) {
@@ -57,6 +59,24 @@ func TestGoldenRenderings(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := report.Fig4(&fig4, data); err != nil {
+		t.Fatal(err)
+	}
+
+	var fig5 bytes.Buffer
+	data5, err := s.Fig5()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := report.Fig5(&fig5, data5); err != nil {
+		t.Fatal(err)
+	}
+
+	var fig6 bytes.Buffer
+	data6, err := s.Fig6()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := report.Fig6(&fig6, data6); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,4 +102,6 @@ func TestGoldenRenderings(t *testing.T) {
 	}
 	check("golden_table2.txt", table2.Bytes())
 	check("golden_fig4.txt", fig4.Bytes())
+	check("golden_fig5.txt", fig5.Bytes())
+	check("golden_fig6.txt", fig6.Bytes())
 }
