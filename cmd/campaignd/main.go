@@ -480,7 +480,7 @@ func report(q dispatch.Queue, m dispatch.Manifest, st dispatch.Status, outCp str
 // completionMsg is the drain banner: a degraded campaign says so
 // rather than claiming a clean finish.
 func completionMsg(st dispatch.Status) string {
-	if st.Quarantined > 0 || st.Dropped > 0 {
+	if st.Degraded() {
 		return fmt.Sprintf("campaign complete (degraded: %d units quarantined, %d dropped)", st.Quarantined, st.Dropped)
 	}
 	return "campaign complete"

@@ -101,8 +101,8 @@
 //
 // core.NewCampaignSpecBuilder (options: WithExp, WithModule,
 // WithScale, WithOperatingPoint, WithScenarioSet, WithChips) is the
-// one spec-construction path shared by cmd/characterize, cmd/campaignd
-// and the examples; BindCampaignFlags exposes it as the common
+// one spec-construction path shared by cmd/characterize and
+// cmd/campaignd; BindCampaignFlags exposes it as the common
 // -exp/-rows/-dies/-runs/-module/-chips/-temp/-budget/-scenarios flag
 // set, and core.ParseScenarioSet names the built-in scenario sets
 // (default, mitigations, bender, bank, thermal:T1,T2,...). A
@@ -139,7 +139,7 @@
 //     core.FleetScenarioStat groups; report.FleetDistribution and
 //     report.FleetCSV render survival and ACmin/time-to-flip
 //     percentiles, with partial-coverage annotations while a
-//     distributed campaign converges (dispatch.RenderPartial).
+//     distributed campaign converges (dispatch.RenderPartialDegraded).
 //     Checkpoints carrying fleet state use a bumped format version;
 //     grid checkpoints are byte-identical to before and both versions
 //     load.
@@ -283,9 +283,9 @@
 //
 // The damage phase of that batched solve dispatches at init to per-CPU
 // vector kernels: hand-written AVX2 assembly on amd64 (AVX2 also where
-// AVX-512 is available, since the kernels are divide-bound; arm64 gets
-// a NEON-shaped loop), selected by internal/cpu's CPUID/XGETBV probe,
-// with -tags purego as the pure-Go scalar escape hatch. The kernels are
+// AVX-512 is available, since the kernels are divide-bound), selected
+// by internal/cpu's CPUID/XGETBV probe; -tags purego and every other
+// architecture run the pure-Go scalar kernels. The kernels are
 // bit-exact by construction, not approximately fast: lanes parallelize
 // across cells, never across acts, so each cell's float operations
 // happen in the scalar oracle's exact order, and FMA contraction is

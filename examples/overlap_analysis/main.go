@@ -16,6 +16,7 @@ import (
 	"os"
 	"time"
 
+	"rowfuse/internal/analysis"
 	"rowfuse/internal/chipdb"
 	"rowfuse/internal/core"
 	"rowfuse/internal/device"
@@ -54,12 +55,12 @@ func run(moduleID string) error {
 	fmt.Printf("module %s (%s): bitflip-set overlap of the combined pattern with the conventional patterns\n\n", mi.ID, mi.Mfr)
 	fmt.Printf("%-10s %12s %12s %16s\n", "tAggON", "vs single", "vs double", "1->0 fraction")
 
-	flipSet := func(kind pattern.Kind, aggOn time.Duration) (map[uint64]bool, int, float64, error) {
+	flipSet := func(kind pattern.Kind, aggOn time.Duration) (map[uint64]struct{}, int, float64, error) {
 		spec, err := pattern.New(kind, aggOn, timing.Default())
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		set := make(map[uint64]bool)
+		set := make(map[uint64]struct{})
 		oneToZero, total := 0, 0
 		for _, victim := range rows {
 			res, err := eng.CharacterizeRow(victim, spec, core.RunOpts{})
@@ -67,7 +68,7 @@ func run(moduleID string) error {
 				return nil, 0, 0, err
 			}
 			for _, f := range res.Flips {
-				set[f.Key()] = true
+				set[f.Key()] = struct{}{}
 				total++
 				if f.Dir == device.OneToZero {
 					oneToZero++
@@ -101,15 +102,10 @@ func run(moduleID string) error {
 }
 
 // overlap renders |a ∩ b| / |b|, the paper's overlap definition.
-func overlap(a, b map[uint64]bool) string {
-	if len(b) == 0 {
+func overlap(a, b map[uint64]struct{}) string {
+	ratio, ok := analysis.Overlap(a, b)
+	if !ok {
 		return "no flips"
 	}
-	inter := 0
-	for k := range b {
-		if a[k] {
-			inter++
-		}
-	}
-	return fmt.Sprintf("%.2f", float64(inter)/float64(len(b)))
+	return fmt.Sprintf("%.2f", ratio)
 }

@@ -149,12 +149,12 @@ func TestFleetDispatchWorkerKillByteIdentical(t *testing.T) {
 	// The coordinator-side partial renderer must produce the same
 	// complete distribution from the merged checkpoint.
 	var partial bytes.Buffer
-	if err := dispatch.RenderPartial(&partial, m, cp); err != nil {
+	if err := dispatch.RenderPartialDegraded(&partial, m, cp, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Fleet distribution", "complete: 16/16 cells", "campaign coverage: 16/16 cells"} {
 		if !strings.Contains(partial.String(), want) {
-			t.Fatalf("RenderPartial output missing %q:\n%s", want, partial.String())
+			t.Fatalf("RenderPartialDegraded output missing %q:\n%s", want, partial.String())
 		}
 	}
 }

@@ -1,8 +1,7 @@
 // Package analysis provides the statistical utilities behind the
-// characterization results: summaries with percentiles, histograms,
-// bootstrap confidence intervals, set-overlap metrics (the paper's
-// Fig. 6 definition plus Jaccard), and least-squares fits used to verify
-// model properties such as the inverse-linear ACmin-vs-tAggON relation.
+// characterization results: summaries with percentiles, histograms, the
+// paper's Fig. 6 set-overlap definition, and the mergeable quantile
+// sketch and moments that fleet campaigns fold distributions into.
 package analysis
 
 import (
@@ -124,119 +123,6 @@ func (h *Histogram) Total() int {
 	return n
 }
 
-// Mode returns the center of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best, bestCount := 0, -1
-	for i, c := range h.Counts {
-		if c > bestCount {
-			best, bestCount = i, c
-		}
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(best)+0.5)*width
-}
-
-// BootstrapCI estimates a confidence interval of the mean by resampling
-// (deterministic seed for reproducibility). level is e.g. 0.95.
-func BootstrapCI(values []float64, level float64, resamples int) (lo, hi float64, err error) {
-	if len(values) == 0 {
-		return 0, 0, ErrNoData
-	}
-	if level <= 0 || level >= 1 {
-		return 0, 0, fmt.Errorf("analysis: confidence level %g out of (0,1)", level)
-	}
-	if resamples <= 0 {
-		resamples = 1000
-	}
-	state := uint64(0x9e3779b97f4a7c15)
-	next := func() uint64 {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
-	means := make([]float64, resamples)
-	for r := 0; r < resamples; r++ {
-		var sum float64
-		for i := 0; i < len(values); i++ {
-			sum += values[next()%uint64(len(values))]
-		}
-		means[r] = sum / float64(len(values))
-	}
-	sort.Float64s(means)
-	alpha := (1 - level) / 2
-	return Percentile(means, alpha*100), Percentile(means, (1-alpha)*100), nil
-}
-
-// LinFit is a least-squares line y = Slope*x + Intercept with its
-// coefficient of determination.
-type LinFit struct {
-	Slope     float64
-	Intercept float64
-	R2        float64
-}
-
-// FitLine computes an ordinary least-squares fit.
-func FitLine(x, y []float64) (LinFit, error) {
-	if len(x) != len(y) {
-		return LinFit{}, fmt.Errorf("analysis: x/y length mismatch %d vs %d", len(x), len(y))
-	}
-	if len(x) < 2 {
-		return LinFit{}, ErrNoData
-	}
-	n := float64(len(x))
-	var sx, sy, sxx, sxy, syy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-		sxx += x[i] * x[i]
-		sxy += x[i] * y[i]
-		syy += y[i] * y[i]
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return LinFit{}, fmt.Errorf("analysis: degenerate x values")
-	}
-	f := LinFit{}
-	f.Slope = (n*sxy - sx*sy) / den
-	f.Intercept = (sy - f.Slope*sx) / n
-	ssTot := syy - sy*sy/n
-	if ssTot > 0 {
-		var ssRes float64
-		for i := range x {
-			r := y[i] - (f.Slope*x[i] + f.Intercept)
-			ssRes += r * r
-		}
-		f.R2 = 1 - ssRes/ssTot
-	} else {
-		f.R2 = 1
-	}
-	return f, nil
-}
-
-// FitPowerLaw fits y = a * x^b via a log-log linear fit and returns
-// (a, b, R2 of the log fit). All inputs must be positive.
-func FitPowerLaw(x, y []float64) (a, b, r2 float64, err error) {
-	if len(x) != len(y) {
-		return 0, 0, 0, fmt.Errorf("analysis: x/y length mismatch %d vs %d", len(x), len(y))
-	}
-	lx := make([]float64, 0, len(x))
-	ly := make([]float64, 0, len(y))
-	for i := range x {
-		if x[i] <= 0 || y[i] <= 0 {
-			return 0, 0, 0, fmt.Errorf("analysis: power-law fit needs positive data (index %d)", i)
-		}
-		lx = append(lx, math.Log(x[i]))
-		ly = append(ly, math.Log(y[i]))
-	}
-	fit, err := FitLine(lx, ly)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return math.Exp(fit.Intercept), fit.Slope, fit.R2, nil
-}
-
 // Overlap implements the paper's Fig. 6 definition: the number of unique
 // elements present in both sets divided by the size of the reference set
 // b. Returns ok=false when b is empty.
@@ -251,34 +137,4 @@ func Overlap[K comparable](a, b map[K]struct{}) (ratio float64, ok bool) {
 		}
 	}
 	return float64(inter) / float64(len(b)), true
-}
-
-// Jaccard returns |a ∩ b| / |a ∪ b| (1.0 for two empty sets).
-func Jaccard[K comparable](a, b map[K]struct{}) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	inter := 0
-	for k := range b {
-		if _, in := a[k]; in {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
-}
-
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(values []float64) (float64, error) {
-	if len(values) == 0 {
-		return 0, ErrNoData
-	}
-	var sum float64
-	for i, v := range values {
-		if v <= 0 {
-			return 0, fmt.Errorf("analysis: geometric mean needs positive values (index %d)", i)
-		}
-		sum += math.Log(v)
-	}
-	return math.Exp(sum / float64(len(values))), nil
 }

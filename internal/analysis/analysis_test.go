@@ -93,78 +93,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestHistogramMode(t *testing.T) {
-	h, _ := NewHistogram(0, 10, 10)
-	for i := 0; i < 5; i++ {
-		h.Add(7.2)
-	}
-	h.Add(1)
-	if m := h.Mode(); math.Abs(m-7.5) > 1e-9 {
-		t.Errorf("mode = %g, want 7.5", m)
-	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	values := make([]float64, 200)
-	for i := range values {
-		values[i] = float64(i % 10)
-	}
-	lo, hi, err := BootstrapCI(values, 0.95, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := 4.5
-	if lo > mean || hi < mean {
-		t.Errorf("CI [%g, %g] excludes the true mean %g", lo, hi, mean)
-	}
-	if hi-lo > 1.5 {
-		t.Errorf("CI [%g, %g] implausibly wide", lo, hi)
-	}
-	if _, _, err := BootstrapCI(nil, 0.95, 10); !errors.Is(err, ErrNoData) {
-		t.Error("empty input accepted")
-	}
-	if _, _, err := BootstrapCI(values, 1.5, 10); err == nil {
-		t.Error("bad level accepted")
-	}
-}
-
-func TestFitLine(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	y := []float64{3, 5, 7, 9} // y = 2x + 1
-	fit, err := FitLine(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Slope-2) > 1e-9 || math.Abs(fit.Intercept-1) > 1e-9 {
-		t.Errorf("fit = %+v, want slope 2 intercept 1", fit)
-	}
-	if math.Abs(fit.R2-1) > 1e-9 {
-		t.Errorf("R2 = %g, want 1", fit.R2)
-	}
-	if _, err := FitLine(x, y[:2]); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := FitLine([]float64{5, 5}, []float64{1, 2}); err == nil {
-		t.Error("degenerate x accepted")
-	}
-}
-
-func TestFitPowerLaw(t *testing.T) {
-	// y = 3 x^-1 (the model's press-regime ACmin-vs-tAggON relation).
-	x := []float64{1, 2, 4, 8}
-	y := []float64{3, 1.5, 0.75, 0.375}
-	a, b, r2, err := FitPowerLaw(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a-3) > 1e-9 || math.Abs(b+1) > 1e-9 || r2 < 0.999 {
-		t.Errorf("power law a=%g b=%g r2=%g, want 3, -1, 1", a, b, r2)
-	}
-	if _, _, _, err := FitPowerLaw([]float64{1, -1}, []float64{1, 1}); err == nil {
-		t.Error("negative data accepted")
-	}
-}
-
 func setOf(keys ...int) map[int]struct{} {
 	m := make(map[int]struct{}, len(keys))
 	for _, k := range keys {
@@ -187,44 +115,5 @@ func TestOverlap(t *testing.T) {
 	ra, _ := Overlap(b, a)
 	if ra != 2.0/3.0 {
 		t.Errorf("reverse overlap = %g, want 2/3", ra)
-	}
-}
-
-func TestJaccard(t *testing.T) {
-	if j := Jaccard(setOf(1, 2), setOf(2, 3)); j != 1.0/3.0 {
-		t.Errorf("jaccard = %g, want 1/3", j)
-	}
-	if j := Jaccard(setOf(), setOf()); j != 1 {
-		t.Errorf("empty jaccard = %g, want 1", j)
-	}
-	// Symmetric.
-	f := func(xs, ys []uint8) bool {
-		a, b := setOf(), setOf()
-		for _, x := range xs {
-			a[int(x)] = struct{}{}
-		}
-		for _, y := range ys {
-			b[int(y)] = struct{}{}
-		}
-		return Jaccard(a, b) == Jaccard(b, a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g-4) > 1e-9 {
-		t.Errorf("geomean = %g, want 4", g)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Error("zero value accepted")
-	}
-	if _, err := GeoMean(nil); !errors.Is(err, ErrNoData) {
-		t.Error("empty input accepted")
 	}
 }

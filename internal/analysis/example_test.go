@@ -15,13 +15,3 @@ func ExampleOverlap() {
 	fmt.Printf("%v %.2f\n", ok, ratio)
 	// Output: true 0.50
 }
-
-// ExampleFitPowerLaw verifies a key property of the press regime: ACmin
-// is inverse-linear in the extra on-time (exponent -1).
-func ExampleFitPowerLaw() {
-	onTimeUs := []float64{7.8, 15.6, 31.2, 70.2}
-	acmin := []float64{6900, 3450, 1725, 766.7}
-	_, exponent, r2, _ := analysis.FitPowerLaw(onTimeUs, acmin)
-	fmt.Printf("exponent %.2f r2 %.3f\n", exponent, r2)
-	// Output: exponent -1.00 r2 1.000
-}

@@ -166,31 +166,3 @@ func EvaluatePTE(layout PTE, templates []Template) PTEReport {
 	}
 	return rep
 }
-
-// CompareEconomics runs the same templating scan under two patterns and
-// reports the wall-time advantage of the first over the second for the
-// fastest exploitable template. A ratio below 1 means the first pattern
-// is faster (the paper's headline: the combined pattern reaches the
-// first flip up to 46% faster than double-sided RowPress).
-func CompareEconomics(engine *core.AnalyticEngine, a, b pattern.Spec, rows []int, layout PTE, opts core.RunOpts) (ratio float64, err error) {
-	repA, err := scanAndEvaluate(engine, a, rows, layout, opts)
-	if err != nil {
-		return 0, err
-	}
-	repB, err := scanAndEvaluate(engine, b, rows, layout, opts)
-	if err != nil {
-		return 0, err
-	}
-	if repA.FastestExploitable == 0 || repB.FastestExploitable == 0 {
-		return 0, fmt.Errorf("attack: no exploitable template under one of the patterns")
-	}
-	return repA.FastestExploitable.Seconds() / repB.FastestExploitable.Seconds(), nil
-}
-
-func scanAndEvaluate(engine *core.AnalyticEngine, spec pattern.Spec, rows []int, layout PTE, opts core.RunOpts) (PTEReport, error) {
-	templates, err := Scan(ScanConfig{Engine: engine, Spec: spec, Rows: rows, Opts: opts})
-	if err != nil {
-		return PTEReport{}, err
-	}
-	return EvaluatePTE(layout, templates), nil
-}

@@ -147,40 +147,23 @@ func TestEvaluatePTE(t *testing.T) {
 // reaches an exploitable flip faster than double-sided RowPress.
 func TestCombinedPatternImprovesAttackEconomics(t *testing.T) {
 	e := scanEngine(t)
-	comb := scanSpec(t, pattern.Combined, 636*time.Nanosecond)
-	dbl := scanSpec(t, pattern.DoubleSided, 636*time.Nanosecond)
-	ratio, err := CompareEconomics(e, comb, dbl, rows(120), DefaultPTE(), core.RunOpts{})
-	if err != nil {
-		t.Fatal(err)
+	fastest := func(k pattern.Kind) time.Duration {
+		t.Helper()
+		templates, err := Scan(ScanConfig{Engine: e, Spec: scanSpec(t, k, 636*time.Nanosecond), Rows: rows(120)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := EvaluatePTE(DefaultPTE(), templates).FastestExploitable
+		if d == 0 {
+			t.Fatalf("%v: no exploitable template", k)
+		}
+		return d
 	}
+	ratio := fastest(pattern.Combined).Seconds() / fastest(pattern.DoubleSided).Seconds()
 	if ratio >= 1 {
 		t.Errorf("combined/double fastest-exploit time ratio = %.2f, want < 1", ratio)
 	}
 	if ratio < 0.4 {
 		t.Errorf("ratio %.2f implausibly small", ratio)
-	}
-}
-
-func TestCompareEconomicsNoExploitableTemplate(t *testing.T) {
-	// A press-immune module yields no templates at press-only operating
-	// points; CompareEconomics must fail loudly rather than divide by
-	// zero.
-	mi, err := chipdb.ByID("M1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := device.DefaultParams()
-	e, err := core.NewAnalyticEngine(core.AnalyticConfig{
-		Profile: mi.Profile(params),
-		Params:  params,
-		NumRows: 8192,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comb := scanSpec(t, pattern.Combined, timing.AggOnNineTREFI)
-	dbl := scanSpec(t, pattern.DoubleSided, timing.AggOnNineTREFI)
-	if _, err := CompareEconomics(e, comb, dbl, rows(30), DefaultPTE(), core.RunOpts{}); err == nil {
-		t.Error("expected an error when no pattern yields an exploitable template")
 	}
 }

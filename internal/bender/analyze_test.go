@@ -134,8 +134,8 @@ func TestFindHammerLoopRejects(t *testing.T) {
 }
 
 // TestFlipWatchAndSegments covers the segmented-execution additions:
-// RunUntil/RunFrom split execution without changing the clock, and a
-// WatchFlips halt fires on a new victim flip.
+// running the prologue on its own and resuming with RunFrom does not
+// change the clock, and a WatchFlips halt fires on a new victim flip.
 func TestFlipWatchAndSegments(t *testing.T) {
 	ts := timing.Default()
 	spec, err := pattern.New(pattern.DoubleSided, timing.Table2Marks()[0], ts)
@@ -165,7 +165,7 @@ func TestFlipWatchAndSegments(t *testing.T) {
 	if !ok {
 		t.Fatal("no loop")
 	}
-	if err := split.RunUntil(p, 0, loop.Body); err != nil {
+	if err := split.Run(&Program{Instrs: p.Instrs[:loop.Body]}); err != nil {
 		t.Fatal(err)
 	}
 	afterSet := split.Now()

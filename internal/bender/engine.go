@@ -151,14 +151,6 @@ func (e *Engine) SetReg(i int, v int64) error {
 	return nil
 }
 
-// Reg reads a register.
-func (e *Engine) Reg(i int) int64 {
-	if i < 0 || i >= NumRegs {
-		return 0
-	}
-	return e.regs[i]
-}
-
 // AdvanceClock jumps the engine clock forward by d without issuing any
 // command — the trace fast-forward uses it to account for the skipped
 // loop iterations after seeking the bank past them.
@@ -257,24 +249,14 @@ func (e *Engine) value(o Operand) int64 {
 
 // Run executes the program to END (or the end of the instruction list).
 func (e *Engine) Run(p *Program) error {
-	return e.run(p, 0, -1)
+	return e.RunFrom(p, 0)
 }
 
 // RunFrom executes the program starting at pc, keeping the engine's
-// clock and registers as they are — the back half of a segmented
-// execution started with RunUntil.
-func (e *Engine) RunFrom(p *Program, pc int) error {
-	return e.run(p, pc, -1)
-}
-
-// RunUntil executes from startPC and returns just before stopPC would
-// execute (clock and registers persist, so execution can resume there
-// with RunFrom). A taken branch that jumps over stopPC does not stop.
-func (e *Engine) RunUntil(p *Program, startPC, stopPC int) error {
-	return e.run(p, startPC, stopPC)
-}
-
-func (e *Engine) run(p *Program, startPC, stopPC int) error {
+// clock and registers as they are, so a caller that positioned them
+// (a skipped stretch of a hammer loop, or an earlier segment) resumes
+// there.
+func (e *Engine) RunFrom(p *Program, startPC int) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
@@ -283,9 +265,6 @@ func (e *Engine) run(p *Program, startPC, stopPC int) error {
 	}
 	pc := startPC
 	for pc < len(p.Instrs) {
-		if pc == stopPC {
-			return nil
-		}
 		in := p.Instrs[pc]
 		e.steps++
 		if e.steps > e.maxSteps {

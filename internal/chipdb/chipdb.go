@@ -142,17 +142,6 @@ func ByID(id string) (ModuleInfo, error) {
 	return ModuleInfo{}, fmt.Errorf("chipdb: unknown module %q", id)
 }
 
-// ByManufacturer returns all modules from one manufacturer.
-func ByManufacturer(m Manufacturer) []ModuleInfo {
-	var out []ModuleInfo
-	for _, mi := range moduleTable {
-		if mi.Mfr == m {
-			out = append(out, mi)
-		}
-	}
-	return out
-}
-
 // TotalChips returns the total chip count across the inventory (84 in the
 // paper).
 func TotalChips() int {

@@ -46,8 +46,6 @@ type AnalyticEngine struct {
 	tfOK        bool
 	popRow      int
 	pop         *device.RowPopulation
-	cells       []device.WeakCell
-	scratch     flipScratch
 	batch       solveBatch
 	view        device.SolveView
 }
@@ -119,22 +117,6 @@ type actTerms struct {
 	end time.Duration
 }
 
-// flipScratch holds firstFlip's per-act damage buffers, hoisted out of
-// the per-cell loop so the solver does not allocate per call.
-type flipScratch struct {
-	steady []float64
-	first  []float64
-}
-
-func (s *flipScratch) resize(n int) {
-	if cap(s.steady) < n {
-		s.steady = make([]float64, n)
-		s.first = make([]float64, n)
-	}
-	s.steady = s.steady[:n]
-	s.first = s.first[:n]
-}
-
 // decompose computes the per-activation damage terms of a pattern into
 // dst. The steady/first split mirrors BankEngine's state rules exactly:
 // the very first activation of the strong aggressor sees no synergy (the
@@ -202,100 +184,9 @@ func (e *AnalyticEngine) tempFactorFor(tempC float64) float64 {
 	return e.tf
 }
 
-// cellsFor materializes the victim row's cell population for one run,
-// reusing the cached base population (engine-private for the last row,
-// or the shared PopCache) and the engine's cells buffer.
-func (e *AnalyticEngine) cellsFor(victim int, runSeed int64) []device.WeakCell {
-	if e.popRow != victim {
-		if e.shared != nil {
-			e.pop = e.shared.Get(victim)
-		} else {
-			e.pop = device.NewRowPopulation(e.profile, e.params, e.bank, victim, e.rowBits)
-		}
-		e.popRow = victim
-	}
-	e.cells = e.pop.AppendCells(e.cells[:0], runSeed)
-	return e.cells
-}
-
-// cellFlip is a first-flip point for one cell.
-type cellFlip struct {
-	iter int64 // 1-based iteration of the flip
-	act  int   // 0-based act index within the iteration
-}
-
-// firstFlip solves for the first (iteration, act) at which the cell's
-// accumulated damage reaches 1, or ok=false if it never does. scr
-// provides the per-act damage buffers (callers hoist it out of their
-// cell loops).
-func firstFlip(c *device.WeakCell, terms []actTerms, weakSide, tf float64, maxIters int64, scr *flipScratch) (cellFlip, bool) {
-	if maxIters <= 0 {
-		return cellFlip{}, false
-	}
-	// Per-act steady and first-iteration damages.
-	var steadyTotal float64
-	scr.resize(len(terms))
-	steady := scr.steady
-	first := scr.first
-	for i := range terms {
-		t := &terms[i]
-		hs := t.boost
-		hf := t.boost
-		if t.steadySynergy {
-			hs *= c.Syn
-		}
-		if t.firstSynergy {
-			hf *= c.Syn
-		}
-		sideFactor := device.SideFactor(t.side, weakSide, c.WeakSide)
-		steady[i] = tf * (hs/c.Th + t.steadyExposure*sideFactor/c.Tp)
-		first[i] = tf * (hf/c.Th + t.firstExposure*sideFactor/c.Tp)
-		steadyTotal += steady[i]
-	}
-
-	// Iteration 1.
-	acc := 0.0
-	for i := range first {
-		acc += first[i]
-		if acc >= 1 {
-			return cellFlip{iter: 1, act: i}, true
-		}
-	}
-	if steadyTotal <= 0 {
-		return cellFlip{}, false
-	}
-
-	// Steady iterations 2..N.
-	remaining := 1 - acc
-	n := int64(math.Ceil(remaining / steadyTotal))
-	if n < 1 {
-		n = 1
-	}
-	iter := 1 + n
-	if iter > maxIters {
-		return cellFlip{}, false
-	}
-	// Locate the act within the flip iteration. Floating-point rounding
-	// in the ceil above may leave the crossing one iteration later.
-	base := acc + float64(n-1)*steadyTotal
-	for {
-		a := base
-		for i := range steady {
-			a += steady[i]
-			if a >= 1 {
-				return cellFlip{iter: iter, act: i}, true
-			}
-		}
-		base = a
-		iter++
-		if iter > maxIters {
-			return cellFlip{}, false
-		}
-	}
-}
-
-// solveBatch evaluates firstFlip over a whole row's eligible cells at
-// once, in struct-of-arrays form: per-cell thresholds come in as a
+// solveBatch evaluates firstFlip, the per-cell scalar solver kept as
+// the oracle in analytic_batch_test.go, over a whole row's eligible
+// cells at once, in struct-of-arrays form: per-cell thresholds come in as a
 // device.SolveView, per-(act, cell) dose terms and the per-cell
 // iteration results live in contiguous slices laid out act-major with
 // a lane-padded stride. The damage phase runs the dispatched vector

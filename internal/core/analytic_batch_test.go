@@ -34,11 +34,19 @@ func table2GridSpecs(t *testing.T) []pattern.Spec {
 	return specs
 }
 
-// characterizeRowIntoScalar is the reference implementation of
-// CharacterizeRowInto: cell-by-cell firstFlip over the materialized
-// []WeakCell population. It is the oracle the scalar-vs-batched
-// cross-check tests pin the batched kernel to, bit for bit.
-func (e *AnalyticEngine) characterizeRowIntoScalar(victim int, spec pattern.Spec, opts RunOpts, res *RowResult) error {
+// scalarEngine is the reference implementation of CharacterizeRowInto:
+// cell-by-cell firstFlip over the materialized []WeakCell population.
+// It is the oracle the scalar-vs-batched cross-check tests pin the
+// batched kernel to, bit for bit. It borrows its engine's damage terms
+// and population cache, so the engine must not also solve batched.
+type scalarEngine struct {
+	e       *AnalyticEngine
+	cells   []device.WeakCell
+	scratch flipScratch
+}
+
+func (s *scalarEngine) characterizeRowInto(victim int, spec pattern.Spec, opts RunOpts, res *RowResult) error {
+	e := s.e
 	opts = opts.withDefaults()
 	if err := checkVictim(victim, e.numRows); err != nil {
 		*res = RowResult{}
@@ -49,7 +57,7 @@ func (e *AnalyticEngine) characterizeRowIntoScalar(victim int, spec pattern.Spec
 	terms := e.termsFor(&spec)
 	tf := e.params.TempFactor(opts.TempC)
 	maxIters := spec.MaxIterations(opts.Budget)
-	cells := e.cellsFor(victim, opts.Run)
+	cells := s.cellsFor(victim, opts.Run)
 
 	bestIter := int64(math.MaxInt64)
 	bestAct := 0
@@ -61,7 +69,7 @@ func (e *AnalyticEngine) characterizeRowIntoScalar(victim int, spec pattern.Spec
 		if opts.Data.VictimBitAt(c.Bit) != c.Dir.From() {
 			continue
 		}
-		fp, ok := firstFlip(c, terms, e.weakSide, tf, maxIters, &e.scratch)
+		fp, ok := firstFlip(c, terms, e.weakSide, tf, maxIters, &s.scratch)
 		if !ok {
 			continue
 		}
@@ -97,6 +105,115 @@ func (e *AnalyticEngine) characterizeRowIntoScalar(victim int, spec pattern.Spec
 	return nil
 }
 
+// flipScratch holds firstFlip's per-act damage buffers, hoisted out of
+// the per-cell loop so the solver does not allocate per call.
+type flipScratch struct {
+	steady []float64
+	first  []float64
+}
+
+func (s *flipScratch) resize(n int) {
+	if cap(s.steady) < n {
+		s.steady = make([]float64, n)
+		s.first = make([]float64, n)
+	}
+	s.steady = s.steady[:n]
+	s.first = s.first[:n]
+}
+
+// cellsFor materializes the victim row's cell population for one run,
+// reusing the engine's cached base population (private for the last
+// row, or the shared PopCache) and the oracle's cells buffer.
+func (s *scalarEngine) cellsFor(victim int, runSeed int64) []device.WeakCell {
+	e := s.e
+	if e.popRow != victim {
+		if e.shared != nil {
+			e.pop = e.shared.Get(victim)
+		} else {
+			e.pop = device.NewRowPopulation(e.profile, e.params, e.bank, victim, e.rowBits)
+		}
+		e.popRow = victim
+	}
+	s.cells = e.pop.AppendCells(s.cells[:0], runSeed)
+	return s.cells
+}
+
+// cellFlip is a first-flip point for one cell.
+type cellFlip struct {
+	iter int64 // 1-based iteration of the flip
+	act  int   // 0-based act index within the iteration
+}
+
+// firstFlip solves for the first (iteration, act) at which the cell's
+// accumulated damage reaches 1, or ok=false if it never does. scr
+// provides the per-act damage buffers (callers hoist it out of their
+// cell loops).
+func firstFlip(c *device.WeakCell, terms []actTerms, weakSide, tf float64, maxIters int64, scr *flipScratch) (cellFlip, bool) {
+	if maxIters <= 0 {
+		return cellFlip{}, false
+	}
+	// Per-act steady and first-iteration damages.
+	var steadyTotal float64
+	scr.resize(len(terms))
+	steady := scr.steady
+	first := scr.first
+	for i := range terms {
+		t := &terms[i]
+		hs := t.boost
+		hf := t.boost
+		if t.steadySynergy {
+			hs *= c.Syn
+		}
+		if t.firstSynergy {
+			hf *= c.Syn
+		}
+		sideFactor := device.SideFactor(t.side, weakSide, c.WeakSide)
+		steady[i] = tf * (hs/c.Th + t.steadyExposure*sideFactor/c.Tp)
+		first[i] = tf * (hf/c.Th + t.firstExposure*sideFactor/c.Tp)
+		steadyTotal += steady[i]
+	}
+
+	// Iteration 1.
+	acc := 0.0
+	for i := range first {
+		acc += first[i]
+		if acc >= 1 {
+			return cellFlip{iter: 1, act: i}, true
+		}
+	}
+	if steadyTotal <= 0 {
+		return cellFlip{}, false
+	}
+
+	// Steady iterations 2..N.
+	remaining := 1 - acc
+	n := int64(math.Ceil(remaining / steadyTotal))
+	if n < 1 {
+		n = 1
+	}
+	iter := 1 + n
+	if iter > maxIters {
+		return cellFlip{}, false
+	}
+	// Locate the act within the flip iteration. Floating-point rounding
+	// in the ceil above may leave the crossing one iteration later.
+	base := acc + float64(n-1)*steadyTotal
+	for {
+		a := base
+		for i := range steady {
+			a += steady[i]
+			if a >= 1 {
+				return cellFlip{iter: iter, act: i}, true
+			}
+		}
+		base = a
+		iter++
+		if iter > maxIters {
+			return cellFlip{}, false
+		}
+	}
+}
+
 // TestSolveBatchMatchesScalar is the scalar-vs-batched cross-check: for
 // every pattern spec of the Table 2 grid, across several modules, rows
 // and noise seeds, the batched CharacterizeRowInto must agree with the
@@ -105,7 +222,7 @@ func (e *AnalyticEngine) characterizeRowIntoScalar(victim int, spec pattern.Spec
 func TestSolveBatchMatchesScalar(t *testing.T) {
 	for _, moduleID := range []string{"S0", "H1", "M1"} {
 		batched := testEngine(t, moduleID)
-		scalar := testEngine(t, moduleID)
+		scalar := scalarEngine{e: testEngine(t, moduleID)}
 		var got, want RowResult
 		for _, spec := range table2GridSpecs(t) {
 			for victim := 1200; victim < 1230; victim++ {
@@ -114,7 +231,7 @@ func TestSolveBatchMatchesScalar(t *testing.T) {
 					if err := batched.CharacterizeRowInto(victim, spec, opts, &got); err != nil {
 						t.Fatal(err)
 					}
-					if err := scalar.characterizeRowIntoScalar(victim, spec, opts, &want); err != nil {
+					if err := scalar.characterizeRowInto(victim, spec, opts, &want); err != nil {
 						t.Fatal(err)
 					}
 					if got.NoBitflip != want.NoBitflip || got.ACmin != want.ACmin ||
@@ -150,7 +267,7 @@ func TestSolveBatchMatchesScalarSharedCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar := testEngine(t, "S0")
+	scalar := scalarEngine{e: testEngine(t, "S0")}
 	var got, want RowResult
 	for _, spec := range table2GridSpecs(t) {
 		for victim := 4000; victim < 4010; victim++ {
@@ -158,7 +275,7 @@ func TestSolveBatchMatchesScalarSharedCache(t *testing.T) {
 				if err := batched.CharacterizeRowInto(victim, spec, RunOpts{Run: run}, &got); err != nil {
 					t.Fatal(err)
 				}
-				if err := scalar.characterizeRowIntoScalar(victim, spec, RunOpts{Run: run}, &want); err != nil {
+				if err := scalar.characterizeRowInto(victim, spec, RunOpts{Run: run}, &want); err != nil {
 					t.Fatal(err)
 				}
 				if got.NoBitflip != want.NoBitflip || got.ACmin != want.ACmin ||

@@ -1,159 +1,86 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
-	"rowfuse/internal/device"
-	"rowfuse/internal/dramcmd"
+	"rowfuse/internal/chipdb"
 	"rowfuse/internal/pattern"
 	"rowfuse/internal/timing"
 )
+
+// crossoverModule runs S0 over the sweep with the given patterns (nil
+// for all three, as -exp crossover does) and returns its crossover
+// sweep.
+func crossoverModule(t *testing.T, patterns []pattern.Kind, sweep []time.Duration) CrossoverModule {
+	t.Helper()
+	s := NewStudy(StudyConfig{
+		Modules:       []chipdb.ModuleInfo{mustModule(t, "S0")},
+		Patterns:      patterns,
+		Sweep:         sweep,
+		RowsPerRegion: 10,
+		Dies:          1,
+		Runs:          1,
+	})
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	mods, err := s.CrossoverSweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mods[0]
+}
 
 // TestCombinedSingleCrossover locates the tAggON where single-sided
 // RowPress overtakes the combined pattern (Fig. 4 / Observation 3: the
 // combined pattern wins at small on-times; the curves converge — and
 // the combined pattern falls slightly behind — at large ones).
 func TestCombinedSingleCrossover(t *testing.T) {
-	e := testEngine(t, "S0")
-	rows := make([]int, 0, 30)
-	for v := 100; v < 130; v++ {
-		rows = append(rows, v)
+	m := crossoverModule(t, nil, timing.PaperSweep())
+	// At tAggON = tRAS the combined pattern is double-sided RowHammer
+	// (Fig. 3): the two tie, and a tie has no winner.
+	first := m.Cells[0]
+	if first.AggOn != timing.TRAS || first.Winner != 0 ||
+		first.TimesMs[pattern.Combined] != first.TimesMs[pattern.DoubleSided] {
+		t.Errorf("at %v: winner %v, combined %.4gms, double %.4gms; want a tie with no winner",
+			first.AggOn, first.Winner, first.TimesMs[pattern.Combined], first.TimesMs[pattern.DoubleSided])
 	}
-	pt, ok, err := FindCrossover(CrossoverConfig{
-		Engine: e,
-		A:      pattern.Combined,
-		B:      pattern.SingleSided,
-		Sweep:  timing.PaperSweep(),
-		Rows:   rows,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
+	if !m.HasCrossover {
 		t.Fatal("no crossover found; the curves must cross inside the sweep")
 	}
+	pt := m.Crossover
 	// The crossover sits in the press-transition region (paper: the
 	// curves converge between ~5 and ~70us).
 	if pt.Below < 2*time.Microsecond || pt.Above > 100*time.Microsecond {
 		t.Errorf("crossover bracket [%v, %v] outside the expected transition region", pt.Below, pt.Above)
 	}
+	for _, c := range m.Cells {
+		want := pattern.Kind(0)
+		switch {
+		case c.AggOn == pt.Below:
+			want = pattern.Combined
+		case c.AggOn == pt.Above:
+			want = pattern.SingleSided
+		}
+		if want != 0 && c.Winner != want {
+			t.Errorf("winner at %v = %v, want %v", c.AggOn, c.Winner, want)
+		}
+	}
 }
 
-// TestNoCrossoverBetweenIdenticalPatterns: combined vs combined never
-// crosses.
+// TestNoCrossoverBetweenIdenticalPatterns: a sweep one pattern wins at
+// every point never crosses.
 func TestNoCrossoverBetweenIdenticalPatterns(t *testing.T) {
-	e := testEngine(t, "S0")
-	_, ok, err := FindCrossover(CrossoverConfig{
-		Engine: e,
-		A:      pattern.Combined,
-		B:      pattern.Combined,
-		Sweep:  []time.Duration{timing.TRAS, timing.AggOnTREFI, timing.AggOnNineTREFI},
-		Rows:   []int{100, 101, 102},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("identical patterns reported a crossover")
-	}
-}
-
-func TestFindCrossoverValidation(t *testing.T) {
-	e := testEngine(t, "S0")
-	if _, _, err := FindCrossover(CrossoverConfig{}); err == nil {
-		t.Error("nil engine accepted")
-	}
-	if _, _, err := FindCrossover(CrossoverConfig{Engine: e, Sweep: []time.Duration{timing.TRAS}}); err == nil {
-		t.Error("single-point sweep accepted")
-	}
-	if _, _, err := FindCrossover(CrossoverConfig{
-		Engine: e,
-		Sweep:  []time.Duration{timing.AggOnTREFI, timing.TRAS},
-		Rows:   []int{100},
-	}); err == nil {
-		t.Error("descending sweep accepted")
-	}
-	if _, _, err := FindCrossover(CrossoverConfig{
-		Engine: e,
-		Sweep:  []time.Duration{timing.TRAS, timing.AggOnTREFI},
-	}); err == nil {
-		t.Error("empty rows accepted")
-	}
-}
-
-// TestReplayTraceMatchesDirectExecution: replaying a pattern's generated
-// trace must disturb the device exactly like the BankEngine does.
-func TestReplayTraceMatchesDirectExecution(t *testing.T) {
-	mi := mustModule(t, "S1")
-	params := device.DefaultParams()
-	profile := mi.Profile(params)
-	mk := func() *device.Bank {
-		b, err := device.NewBank(device.BankConfig{Profile: profile, Params: params, NumRows: 4096})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-
-	spec := testSpec(t, pattern.DoubleSided, timing.TRAS)
-	const victim = 800
-
-	// Reference: direct engine execution.
-	ref, err := NewBankEngine(mk()).CharacterizeRow(victim, spec, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.NoBitflip {
-		t.Fatal("reference did not flip")
-	}
-
-	// Replay the same iteration count from a generated trace onto a
-	// fresh bank (initialize rows first, as the engine does).
-	bank := mk()
-	rowBytes := bank.RowBytes()
-	for _, init := range []struct {
-		row  int
-		fill byte
-	}{{victim - 1, 0xAA}, {victim + 1, 0xAA}, {victim, 0x55}} {
-		if err := bank.WriteRow(init.row, device.FillRow(rowBytes, init.fill), 0); err != nil {
-			t.Fatal(err)
+	m := crossoverModule(t, []pattern.Kind{pattern.Combined},
+		[]time.Duration{timing.TRAS, timing.AggOnTREFI, timing.AggOnNineTREFI})
+	for _, c := range m.Cells {
+		if c.Winner != pattern.Combined {
+			t.Errorf("winner at %v = %v, want combined", c.AggOn, c.Winner)
 		}
 	}
-	tr := spec.Trace(0, victim, ref.Iterations)
-	if err := ReplayTrace(bank, tr); err != nil {
-		t.Fatal(err)
-	}
-	flips, err := bank.CompareRow(victim, tr.End())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flips) != len(ref.Flips) {
-		t.Fatalf("replay produced %d flips, engine %d", len(flips), len(ref.Flips))
-	}
-	for i := range flips {
-		if flips[i].Bit != ref.Flips[i].Bit || flips[i].Dir != ref.Flips[i].Dir {
-			t.Errorf("flip %d differs: %v vs %v", i, flips[i], ref.Flips[i])
-		}
-	}
-}
-
-func TestReplayTraceErrors(t *testing.T) {
-	if err := ReplayTrace(nil, &dramcmd.Trace{}); err == nil {
-		t.Error("nil bank accepted")
-	}
-	mi := mustModule(t, "S1")
-	params := device.DefaultParams()
-	bank, err := device.NewBank(device.BankConfig{Profile: mi.Profile(params), Params: params, NumRows: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ReplayTrace(bank, nil); err == nil {
-		t.Error("nil trace accepted")
-	}
-	bad := &dramcmd.Trace{}
-	bad.Append(dramcmd.Command{Kind: dramcmd.PRE}) // PRE with no open row
-	if err := ReplayTrace(bank, bad); err == nil {
-		t.Error("illegal trace replayed without error")
+	if m.HasCrossover {
+		t.Errorf("a single pattern reported a crossover at %+v", m.Crossover)
 	}
 }

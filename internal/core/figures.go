@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"rowfuse/internal/analysis"
 	"rowfuse/internal/chipdb"
 	"rowfuse/internal/pattern"
 )
@@ -165,21 +166,13 @@ func (s *Study) Fig6() (Fig6Data, error) {
 							convSet[off|k] = struct{}{}
 						}
 					}
-					pt := Fig6Point{
+					overlap, _ := analysis.Overlap(comb, convSet)
+					pts = append(pts, Fig6Point{
 						AggOn:         aggOn,
+						Overlap:       overlap,
 						CombinedFlips: len(comb),
 						ConvFlips:     len(convSet),
-					}
-					if len(convSet) > 0 {
-						inter := 0
-						for k := range convSet {
-							if _, ok := comb[k]; ok {
-								inter++
-							}
-						}
-						pt.Overlap = float64(inter) / float64(len(convSet))
-					}
-					pts = append(pts, pt)
+					})
 				}
 				if conv == pattern.SingleSided {
 					curves.VsSingle = pts

@@ -7,10 +7,10 @@ import (
 )
 
 // The damage kernels: the act-major damage phase of solveBatch.solve,
-// extracted so per-CPU vector implementations can be dispatched behind
-// build tags (kernels_amd64.s, kernels_arm64.go) while the pure-Go
-// scalar bodies below stay the bit-exactness reference and the purego
-// fallback.
+// extracted so the amd64 vector implementation (kernels_amd64.s) can be
+// dispatched behind build tags while the pure-Go scalar bodies below
+// stay the bit-exactness reference and the kernels of purego builds
+// and every other architecture.
 //
 // One kernel call computes, for every cell lane c in [0, n):
 //

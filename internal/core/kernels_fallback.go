@@ -1,10 +1,10 @@
-//go:build purego || (!amd64 && !arm64)
+//go:build purego || !amd64
 
 package core
 
-// pickDamageKernels under the purego tag (or on an architecture
-// without a tuned variant) keeps the scalar reference kernels — the
-// escape hatch when a vector path is suspected of misbehaving.
+// pickDamageKernels under the purego tag (the escape hatch when the
+// vector path is suspected of misbehaving) and on every architecture
+// but amd64 keeps the scalar reference kernels.
 func pickDamageKernels() (split, fused func(*damageKernArgs), level string) {
 	return damageSplitScalar, damageFusedScalar, "scalar"
 }

@@ -1,13 +1,14 @@
 // Extractors for scenario-axis campaigns: the mitigation survival
-// summary (flip survival vs TRR variant, ECC and refresh multiplier)
-// and the combined-attack crossover sweep, the in-campaign promotion of
-// what examples/combined_attack used to compute ad hoc. Both read the
-// study's completed cells the way Table2/Fig4 do, so they render from
-// live campaigns, resumed checkpoints and merged shards alike.
+// summary (flip survival vs TRR variant, ECC and refresh multiplier),
+// the thermal summary and the combined-attack crossover sweep. Each
+// reads the study's completed cells the way Table2/Fig4 do, so they
+// render from live campaigns, resumed checkpoints and merged shards
+// alike.
 package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"rowfuse/internal/chipdb"
@@ -159,8 +160,22 @@ type CrossoverCell struct {
 	// milliseconds; patterns that never flipped at this tAggON are
 	// absent.
 	TimesMs map[pattern.Kind]float64
-	// Winner is the fastest flipping pattern (zero when nothing flips).
+	// Winner is the fastest flipping pattern. It is zero when nothing
+	// flips, and when two patterns share the fastest time: at tAggON =
+	// tRAS the combined pattern is double-sided RowHammer (Fig. 3), so
+	// the two tie exactly there.
 	Winner pattern.Kind
+}
+
+// CrossoverPoint describes where the fastest pattern changes as tAggON
+// grows (Fig. 4's qualitative structure, Observation 3: the combined
+// pattern wins at small on-times, single-sided RowPress catches up at
+// large ones).
+type CrossoverPoint struct {
+	// Below and Above bracket the crossover: adjacent sweep points with
+	// different winners.
+	Below time.Duration
+	Above time.Duration
 }
 
 // CrossoverModule is one module's sweep: which pattern family wins at
@@ -190,6 +205,7 @@ func (s *Study) CrossoverSweep() ([]CrossoverModule, error) {
 		cm := CrossoverModule{Info: mi, Cells: make([]CrossoverCell, 0, len(sweep))}
 		for _, aggOn := range sweep {
 			cell := CrossoverCell{AggOn: aggOn, TimesMs: make(map[pattern.Kind]float64, len(s.cfg.Patterns))}
+			best := math.Inf(1)
 			for _, kind := range s.cfg.Patterns {
 				r, err := s.mustResult(mi.ID, kind, aggOn)
 				if err != nil {
@@ -198,8 +214,11 @@ func (s *Study) CrossoverSweep() ([]CrossoverModule, error) {
 				if ts := r.TimeStats(); ts.N > 0 {
 					ms := ts.Mean * 1000
 					cell.TimesMs[kind] = ms
-					if cell.Winner == 0 || ms < cell.TimesMs[cell.Winner] {
-						cell.Winner = kind
+					switch {
+					case ms < best:
+						best, cell.Winner = ms, kind
+					case ms == best:
+						cell.Winner = 0 // a tie has no winner
 					}
 				}
 			}
@@ -212,8 +231,8 @@ func (s *Study) CrossoverSweep() ([]CrossoverModule, error) {
 }
 
 // crossoverBracket finds the first adjacent pair of sweep points whose
-// winners differ — the same bracket semantics as FindCrossover, read
-// off campaign cells instead of a fresh engine scan.
+// winners differ. A point without a winner (nothing flips, or a tie)
+// ends the run before it and belongs to no bracket.
 func crossoverBracket(cells []CrossoverCell) (CrossoverPoint, bool) {
 	var prev CrossoverCell
 	havePrev := false

@@ -1,103 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
-	"rowfuse/internal/analysis"
 	"rowfuse/internal/device"
 	"rowfuse/internal/pattern"
 	"rowfuse/internal/timing"
 )
-
-func TestCellFlipPointsSortedAndConsistent(t *testing.T) {
-	e := testEngine(t, "S0")
-	spec := testSpec(t, pattern.DoubleSided, timing.TRAS)
-	points, err := e.CellFlipPoints(1000, spec, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) < 2 {
-		t.Fatalf("only %d flip points; want a dose-response tail", len(points))
-	}
-	for i := 1; i < len(points); i++ {
-		if points[i].ACount < points[i-1].ACount {
-			t.Fatal("flip points not sorted by activation count")
-		}
-	}
-	// The first point must agree with CharacterizeRow.
-	res, err := e.CharacterizeRow(1000, spec, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NoBitflip {
-		t.Fatal("no first flip")
-	}
-	if points[0].ACount != res.ACmin {
-		t.Errorf("first flip point ACount %d != ACmin %d", points[0].ACount, res.ACmin)
-	}
-}
-
-func TestFlipsAtCountMonotone(t *testing.T) {
-	e := testEngine(t, "S0")
-	spec := testSpec(t, pattern.DoubleSided, timing.TRAS)
-	res, err := e.CharacterizeRow(1100, spec, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	below, err := e.FlipsAtCount(1100, spec, res.ACmin-1, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(below) != 0 {
-		t.Errorf("%d flips below ACmin", len(below))
-	}
-	at, err := e.FlipsAtCount(1100, spec, res.ACmin, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(at) == 0 {
-		t.Error("no flips at ACmin")
-	}
-	far, err := e.FlipsAtCount(1100, spec, res.ACmin*3, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(far) < len(at) {
-		t.Error("flip count not monotone in dose")
-	}
-}
-
-func TestDoseResponse(t *testing.T) {
-	e := testEngine(t, "S0")
-	spec := testSpec(t, pattern.DoubleSided, timing.TRAS)
-	res, err := e.CharacterizeRow(1200, spec, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doses := []int64{res.ACmin / 2, res.ACmin, res.ACmin * 2, res.ACmin * 4}
-	pts, err := e.DoseResponse(1200, spec, doses, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 4 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	if pts[0].Flips != 0 {
-		t.Error("flips below ACmin")
-	}
-	if pts[1].Flips == 0 {
-		t.Error("no flips at ACmin")
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Flips < pts[i-1].Flips {
-			t.Error("dose response not monotone")
-		}
-	}
-	if _, err := e.DoseResponse(1200, spec, nil, RunOpts{}); err == nil {
-		t.Error("empty dose list accepted")
-	}
-}
 
 func TestTempSweep(t *testing.T) {
 	spec := testSpec(t, pattern.Combined, 636*time.Nanosecond)
@@ -186,7 +98,7 @@ func TestPressLinearity(t *testing.T) {
 		x = append(x, (aggOn - timing.TRAS).Seconds())
 		y = append(y, float64(res.ACmin))
 	}
-	_, b, r2, err := analysis.FitPowerLaw(x, y)
+	_, b, r2, err := fitPowerLaw(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,4 +108,72 @@ func TestPressLinearity(t *testing.T) {
 	if r2 < 0.98 {
 		t.Errorf("power-law fit R2 = %.3f, want ~1", r2)
 	}
+}
+
+// linFit is a least-squares line y = Slope*x + Intercept with its
+// coefficient of determination.
+type linFit struct {
+	Slope     float64
+	Intercept float64
+	R2        float64
+}
+
+// fitLine computes an ordinary least-squares fit.
+func fitLine(x, y []float64) (linFit, error) {
+	if len(x) != len(y) {
+		return linFit{}, fmt.Errorf("x/y length mismatch %d vs %d", len(x), len(y))
+	}
+	if len(x) < 2 {
+		return linFit{}, fmt.Errorf("need at least two points")
+	}
+	n := float64(len(x))
+	var sx, sy, sxx, sxy, syy float64
+	for i := range x {
+		sx += x[i]
+		sy += y[i]
+		sxx += x[i] * x[i]
+		sxy += x[i] * y[i]
+		syy += y[i] * y[i]
+	}
+	den := n*sxx - sx*sx
+	if den == 0 {
+		return linFit{}, fmt.Errorf("degenerate x values")
+	}
+	f := linFit{}
+	f.Slope = (n*sxy - sx*sy) / den
+	f.Intercept = (sy - f.Slope*sx) / n
+	ssTot := syy - sy*sy/n
+	if ssTot > 0 {
+		var ssRes float64
+		for i := range x {
+			r := y[i] - (f.Slope*x[i] + f.Intercept)
+			ssRes += r * r
+		}
+		f.R2 = 1 - ssRes/ssTot
+	} else {
+		f.R2 = 1
+	}
+	return f, nil
+}
+
+// fitPowerLaw fits y = a * x^b via a log-log linear fit and returns
+// (a, b, R2 of the log fit). All inputs must be positive.
+func fitPowerLaw(x, y []float64) (a, b, r2 float64, err error) {
+	if len(x) != len(y) {
+		return 0, 0, 0, fmt.Errorf("x/y length mismatch %d vs %d", len(x), len(y))
+	}
+	lx := make([]float64, 0, len(x))
+	ly := make([]float64, 0, len(y))
+	for i := range x {
+		if x[i] <= 0 || y[i] <= 0 {
+			return 0, 0, 0, fmt.Errorf("power-law fit needs positive data (index %d)", i)
+		}
+		lx = append(lx, math.Log(x[i]))
+		ly = append(ly, math.Log(y[i]))
+	}
+	fit, err := fitLine(lx, ly)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return math.Exp(fit.Intercept), fit.Slope, fit.R2, nil
 }

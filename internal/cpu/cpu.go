@@ -7,10 +7,9 @@
 // amd64 build probes CPUID/XGETBV (a GOAMD64=v1 binary still uses AVX2
 // kernels on a machine that has it, and a GOAMD64=v3 binary degrades
 // to scalar kernels instead of faulting if the feature bits are
-// missing); arm64 assumes ASIMD/NEON, which the architecture
-// guarantees; everything else — including any build with the `purego`
-// tag — reports no vector features at all, which is the repository's
-// escape hatch back to the pure-Go reference kernels.
+// missing); every other architecture — and any build with the `purego`
+// tag — reports no vector features at all and runs the pure-Go
+// reference kernels.
 package cpu
 
 // X86 reports the amd64 vector features of the running processor. All
@@ -24,24 +23,15 @@ var X86 struct {
 	HasAVX512 bool
 }
 
-// ARM64 reports the arm64 vector features of the running processor.
-var ARM64 struct {
-	// HasNEON reports ASIMD support (architecturally guaranteed on
-	// arm64; false elsewhere and under purego).
-	HasNEON bool
-}
-
 // Level names the widest vector tier detection found, for bench
-// snapshots and logs: "avx512", "avx2", "neon", or "scalar". Binaries
-// built with the purego tag always report "scalar".
+// snapshots and logs: "avx512", "avx2" or "scalar". Binaries built
+// with the purego tag always report "scalar".
 func Level() string {
 	switch {
 	case X86.HasAVX512:
 		return "avx512"
 	case X86.HasAVX2:
 		return "avx2"
-	case ARM64.HasNEON:
-		return "neon"
 	default:
 		return "scalar"
 	}

@@ -13,13 +13,9 @@ func TestLevelIsConsistent(t *testing.T) {
 		if !X86.HasAVX2 || X86.HasAVX512 {
 			t.Fatalf("Level()=avx2 but X86=%+v", X86)
 		}
-	case "neon":
-		if !ARM64.HasNEON || X86.HasAVX2 {
-			t.Fatalf("Level()=neon but ARM64=%+v X86=%+v", ARM64, X86)
-		}
 	case "scalar":
-		if X86.HasAVX2 || X86.HasAVX512 || ARM64.HasNEON {
-			t.Fatalf("Level()=scalar but features set: X86=%+v ARM64=%+v", X86, ARM64)
+		if X86.HasAVX2 || X86.HasAVX512 {
+			t.Fatalf("Level()=scalar but features set: X86=%+v", X86)
 		}
 	default:
 		t.Fatalf("Level() returned unknown tier %q", lvl)

@@ -185,15 +185,6 @@ func (b *Bank) RowBytes() int { return b.rowBits / 8 }
 // Index returns the bank index.
 func (b *Bank) Index() int { return b.index }
 
-// OpenRow returns the currently open row (logical address) and whether
-// one is open.
-func (b *Bank) OpenRow() (int, bool) {
-	if !b.isOpen {
-		return -1, false
-	}
-	return b.logical(b.openRow), true
-}
-
 // SetTemperature sets the die temperature used for subsequent damage.
 func (b *Bank) SetTemperature(c float64) {
 	b.tempC = c
@@ -275,14 +266,6 @@ func (b *Bank) phys(logical int) (int, error) {
 		}
 	}
 	return p, nil
-}
-
-// logical maps a physical position back to the bus address.
-func (b *Bank) logical(physical int) int {
-	if b.mapper != nil {
-		return b.mapper.Logical(physical)
-	}
-	return physical
 }
 
 // Activate opens a row (logical address) at the given absolute time.

@@ -39,8 +39,8 @@ func TestBankStateMachine(t *testing.T) {
 	b := testBank(t)
 	now := time.Duration(0)
 
-	if _, open := b.OpenRow(); open {
-		t.Fatal("fresh bank reports an open row")
+	if b.isOpen {
+		t.Fatal("fresh bank has an open row")
 	}
 	if err := b.Precharge(now); !errors.Is(err, ErrBankClosed) {
 		t.Errorf("PRE on closed bank: %v, want ErrBankClosed", err)
@@ -51,8 +51,8 @@ func TestBankStateMachine(t *testing.T) {
 	if err := b.Activate(101, now); !errors.Is(err, ErrBankOpen) {
 		t.Errorf("double ACT: %v, want ErrBankOpen", err)
 	}
-	if row, open := b.OpenRow(); !open || row != 100 {
-		t.Errorf("OpenRow = %d,%v, want 100,true", row, open)
+	if p, _ := b.phys(100); !b.isOpen || b.openRow != p {
+		t.Errorf("open row = %d,%v, want %d,true", b.openRow, b.isOpen, p)
 	}
 	now += timing.TRAS
 	if err := b.Precharge(now); err != nil {

@@ -10,8 +10,8 @@ import (
 // batch solvers: the float columns' backing arrays always extend to the
 // next multiple of SolveLanes past Len(), so vector kernels may load
 // full lanes without reading unowned memory. The value is a multiple
-// of every kernel's lane step (4 x float64: one AVX2 register, or the
-// arm64 kernels' 2x2 unroll), so no kernel needs a scalar tail.
+// of every kernel's lane step (4 x float64: one AVX2 register), so no
+// kernel needs a scalar tail.
 const SolveLanes = 8
 
 // SolveView is the batch-friendly, struct-of-arrays projection of one

@@ -287,21 +287,23 @@ func TestDirQueueLockFileFallback(t *testing.T) {
 	if err := dispatch.InitDir(dir, m); err != nil {
 		t.Fatal(err)
 	}
+	if err := dispatch.ForceLockFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	if !dispatch.DirUsesLockFiles(dir) {
+		t.Fatal("campaign dir not in lock-file mode")
+	}
 	open := func() *dispatch.DirQueue {
 		q, err := dispatch.OpenDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dispatch.ForceLockFiles(q)
 		return q
 	}
 	clock := newFakeClock()
 	a, b := open(), open()
 	a.SetClock(clock.Now)
 	b.SetClock(clock.Now)
-	if !a.UsesLockFiles() {
-		t.Fatal("queue not in lock-file mode")
-	}
 
 	la, err := a.Acquire("alpha")
 	if err != nil {
@@ -399,7 +401,7 @@ func TestRenderPartialDegenerateGrids(t *testing.T) {
 	cfg.Patterns = []pattern.Kind{pattern.SingleSided}
 	m := dispatch.NewManifest(cfg, 2, time.Minute)
 	var buf bytes.Buffer
-	if err := dispatch.RenderPartial(&buf, m, nil); err != nil {
+	if err := dispatch.RenderPartialDegraded(&buf, m, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -428,7 +430,7 @@ func TestRenderPartialDegenerateGrids(t *testing.T) {
 		t.Fatalf("zero-cell manifest rejected: %v", err)
 	}
 	buf.Reset()
-	if err := dispatch.RenderPartial(&buf, zc, nil); err != nil {
+	if err := dispatch.RenderPartialDegraded(&buf, zc, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	out = buf.String()

@@ -192,10 +192,8 @@ func OpenDir(dir string) (*DirQueue, error) {
 	// filesystem failed the hard-link probe. A hard-link campaign opened
 	// from a mount that cannot link must refuse to participate — mixing
 	// the two protocols in one directory would break exclusivity.
-	hardLinks := true
-	if _, err := os.Stat(filepath.Join(dir, lockModeFile)); err == nil {
-		hardLinks = false
-	} else if !SupportsHardLinks(dir) {
+	hardLinks := !DirUsesLockFiles(dir)
+	if hardLinks && !SupportsHardLinks(dir) {
 		return nil, fmt.Errorf("dispatch: %s was initialized for hard-link coordination but this mount does not support hard links; re-init the campaign on this filesystem", dir)
 	}
 	return &DirQueue{
@@ -214,10 +212,6 @@ func OpenDir(dir string) (*DirQueue, error) {
 // SetClock substitutes the queue's time source (tests drive lease
 // expiry without sleeping).
 func (q *DirQueue) SetClock(now func() time.Time) { q.now = now }
-
-// UsesLockFiles reports whether the queue runs in the O_EXCL lock-file
-// fallback because dir's filesystem lacks hard-link support.
-func (q *DirQueue) UsesLockFiles() bool { return !q.hardLinks }
 
 // exclusiveCreate atomically creates name in dir with content, failing
 // with os.ErrExist if name already exists (or is exclusively claimed).
@@ -390,28 +384,13 @@ func linkExclusive(dir, name string, content []byte) error {
 }
 
 // replaceAtomic atomically replaces name in dir with content (temp
-// file + rename), for heartbeat's lease extension and partial
-// checkpoint updates.
+// file, fsync, rename: resultio.WriteFileAtomic) for lease extensions
+// and the strike, cost, partial and quarantine sidecars.
 func replaceAtomic(dir, name string, content []byte) error {
 	if err := faultpoint.Check("dir.replace"); err != nil {
 		return fmt.Errorf("dispatch: replace %s: %w", name, err)
 	}
-	tmp, err := os.CreateTemp(dir, name+".tmp*")
-	if err != nil {
-		return fmt.Errorf("dispatch: temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(content); err != nil {
-		tmp.Close()
-		return fmt.Errorf("dispatch: write %s: %w", name, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("dispatch: close %s: %w", name, err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		return fmt.Errorf("dispatch: replace %s: %w", name, err)
-	}
-	return nil
+	return resultio.WriteFileAtomic(filepath.Join(dir, name), content)
 }
 
 // Manifest implements Queue.

@@ -129,7 +129,7 @@ func TestDirQueueMergedRejectsPlantedDuplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A non-empty unit checkpoint: actually run unit 0's shard.
-	cp, err := dispatch.RunStudyShard(context.Background(), m, m.Plan(0))
+	cp, _, err := dispatch.RunUnitWork(context.Background(), m, dispatch.UnitWork{Unit: 0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,7 +176,7 @@ func TestRenderPartialCoverage(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := dispatch.RenderPartial(&buf, m, cp); err != nil {
+		if err := dispatch.RenderPartialDegraded(&buf, m, cp, nil); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -192,7 +192,7 @@ func TestRenderPartialCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := dispatch.RunStudyShard(context.Background(), m, m.Plan(0))
+	cp, _, err := dispatch.RunUnitWork(context.Background(), m, dispatch.UnitWork{Unit: 0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestRenderPartialCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err = dispatch.RunStudyShard(context.Background(), m, m.Plan(1))
+	cp, _, err = dispatch.RunUnitWork(context.Background(), m, dispatch.UnitWork{Unit: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

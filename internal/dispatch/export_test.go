@@ -2,13 +2,18 @@ package dispatch
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"time"
 )
 
-// ForceLockFiles switches an open DirQueue into the O_EXCL lock-file
-// fallback regardless of what the filesystem probe found, so tests
-// exercise the no-hard-links path on filesystems that do support them.
-func ForceLockFiles(q *DirQueue) { q.hardLinks = false }
+// ForceLockFiles records an initialized campaign directory as
+// coordinating through O_EXCL lock files, as InitDir does when the
+// hard-link probe fails, so tests exercise the no-hard-links path on
+// filesystems that do support them.
+func ForceLockFiles(dir string) error {
+	return os.WriteFile(filepath.Join(dir, lockModeFile), []byte("1\n"), 0o644)
+}
 
 // ExclusiveCreateForTest exposes the lock-file claim protocol for the
 // stale-claim live-lock regression test.

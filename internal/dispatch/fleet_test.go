@@ -71,7 +71,7 @@ func TestFleetCostPriors(t *testing.T) {
 	}
 }
 
-// RenderPartial on a fleet campaign reports the population
+// RenderPartialDegraded on a fleet campaign reports the population
 // distribution with partial coverage, and stays readable before any
 // submission lands.
 func TestFleetRenderPartial(t *testing.T) {
@@ -79,7 +79,7 @@ func TestFleetRenderPartial(t *testing.T) {
 	m := NewManifest(cfg, 4, time.Second)
 
 	var empty strings.Builder
-	if err := RenderPartial(&empty, m, nil); err != nil {
+	if err := RenderPartialDegraded(&empty, m, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(empty.String(), "no cells submitted yet (0/4)") {
@@ -95,7 +95,7 @@ func TestFleetRenderPartial(t *testing.T) {
 	}
 	cp := resultio.NewCheckpoint(cfg.Fingerprint(), core.ShardPlan{}, s.Snapshot())
 	var partial strings.Builder
-	if err := RenderPartial(&partial, m, cp); err != nil {
+	if err := RenderPartialDegraded(&partial, m, cp, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := partial.String()

@@ -534,20 +534,6 @@ func (c *Client) Follow(w io.Writer, interval time.Duration) error {
 	return err
 }
 
-// Report fetches the coordinator's live partial-grid rendering.
-func (c *Client) Report() (string, error) {
-	resp, err := c.do("GET", "/report", nil)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if err := responseErr(resp); err != nil {
-		return "", err
-	}
-	b, err := io.ReadAll(resp.Body)
-	return string(b), err
-}
-
 // do issues one request under the client's route prefix, presenting
 // the campaign token when it carries one.
 func (c *Client) do(method, path string, body []byte) (*http.Response, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -95,14 +96,32 @@ func TestHTTPWorkersDrainCampaign(t *testing.T) {
 	}
 	want := renderCampaign(t, single)
 
-	c, _ := newTestServer(t, 3, time.Minute)
-
-	// The live report endpoint works before any submission.
-	rep, err := c.Report()
+	q, err := dispatch.NewMemQueue(dispatch.NewManifest(cfg, 3, time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(rep, "partial: 0 of 18 cells") {
+	srv := httptest.NewServer(dispatch.NewHandler(q))
+	t.Cleanup(srv.Close)
+	c, err := dispatch.Dial(srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := func() string {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + "/v1/report")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/report: %d %v", resp.StatusCode, err)
+		}
+		return string(b)
+	}
+
+	// The live report endpoint works before any submission.
+	if rep := report(); !strings.Contains(rep, "partial: 0 of 18 cells") {
 		t.Fatalf("pre-run report lacks coverage:\n%s", rep)
 	}
 
@@ -134,11 +153,7 @@ func TestHTTPWorkersDrainCampaign(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("HTTP campaign rendering differs from the unsharded run:\n--- http ---\n%s\n--- single ---\n%s", got, want)
 	}
-	rep, err = c.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep, "complete: 18 of 18 cells") {
+	if rep := report(); !strings.Contains(rep, "complete: 18 of 18 cells") {
 		t.Fatalf("drained report not marked complete:\n%s", rep)
 	}
 }

@@ -10,20 +10,16 @@ import (
 	"rowfuse/internal/resultio"
 )
 
-// RenderPartial renders the coverage-annotated partial Table 2 and
-// Fig 4 reproductions from a campaign's rolling merged checkpoint —
+// RenderPartialDegraded renders the coverage-annotated partial Table 2
+// and Fig 4 reproductions from a campaign's rolling merged checkpoint —
 // what cmd/campaignd prints while a distributed campaign converges and
 // what GET /v1/report serves. cp may be nil (nothing submitted yet).
-func RenderPartial(w io.Writer, m Manifest, cp *resultio.Checkpoint) error {
-	return RenderPartialDegraded(w, m, cp, nil)
-}
-
-// RenderPartialDegraded is RenderPartial with the cells of the
-// campaign's dead-lettered units annotated: quarCells (grid indices in
-// the canonical cell order) render as "quarantined" instead of
-// "pending", and the coverage line reports the campaign as degraded
-// once every remaining cell is quarantined. An all-quarantined grid
-// renders a fully-annotated (never NaN, never panicking) report.
+// The cells of the campaign's dead-lettered units are annotated:
+// quarCells (grid indices in the canonical cell order) render as
+// "quarantined" instead of "pending", and the coverage line reports the
+// campaign as degraded once every remaining cell is quarantined. An
+// all-quarantined grid renders a fully-annotated (never NaN, never
+// panicking) report.
 func RenderPartialDegraded(w io.Writer, m Manifest, cp *resultio.Checkpoint, quarCells []int) error {
 	cfg, err := m.Campaign.StudyConfig()
 	if err != nil {

@@ -135,24 +135,6 @@ func (o WorkerOptions) withDefaults(ttl time.Duration) WorkerOptions {
 	return o
 }
 
-// RunStudyShard runs one shard of the manifest's campaign with the
-// checkpointed Study.Run and packs the resulting aggregates as the
-// shard's checkpoint. The plan is honored as given — Index of Count,
-// whatever Count is — so the entry point keeps its historical
-// semantics even when Count differs from the manifest's unit count;
-// the worker loop itself runs RunUnitWork with the lease's explicit
-// cell set instead.
-func RunStudyShard(ctx context.Context, m Manifest, plan core.ShardPlan) (*resultio.Checkpoint, error) {
-	var cells []int
-	for idx := 0; idx < m.GridSize(); idx++ {
-		if plan.Contains(idx) {
-			cells = append(cells, idx)
-		}
-	}
-	cp, _, err := RunUnitWork(ctx, m, UnitWork{Unit: plan.Index, Cells: cells}, 0)
-	return cp, err
-}
-
 // RunUnitWork computes one unit: reconstruct the campaign config from
 // the manifest, restrict it to the unit's cells, seed the intra-unit
 // resume checkpoint (completed cells are skipped, not recomputed),

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"time"
 
-	"rowfuse/internal/dramcmd"
 	"rowfuse/internal/timing"
 )
 
@@ -104,10 +103,6 @@ func New(kind Kind, aggOn time.Duration, ts timing.Set) (Spec, error) {
 	return Spec{Kind: kind, AggOn: aggOn, Timings: ts}, nil
 }
 
-// IsRowHammer reports whether the spec degenerates to conventional
-// RowHammer (tAggON = tRAS).
-func (s Spec) IsRowHammer() bool { return s.AggOn == s.Timings.TRAS }
-
 // Eq reports s == *o, compared field by field. Memoizing hot paths key
 // on whole specs; the explicit compare keeps the hit test a handful of
 // register compares where the generic struct equality of a spec this
@@ -180,24 +175,6 @@ func (s Spec) MaxIterations(budget time.Duration) int64 {
 		return 0
 	}
 	return int64(budget / it)
-}
-
-// Trace generates the command trace of n iterations against the given
-// victim row, starting at time 0. The victim's aggressors are victim-1
-// (R0) and victim+1 (R2).
-func (s Spec) Trace(bank, victim int, n int64) *dramcmd.Trace {
-	acts := s.Acts()
-	tr := &dramcmd.Trace{}
-	now := time.Duration(0)
-	for i := int64(0); i < n; i++ {
-		for _, a := range acts {
-			tr.Append(dramcmd.Command{Kind: dramcmd.ACT, Bank: bank, Row: victim + a.RowOffset, At: now})
-			now += a.OnTime
-			tr.Append(dramcmd.Command{Kind: dramcmd.PRE, Bank: bank, At: now})
-			now += s.Timings.TRP
-		}
-	}
-	return tr
 }
 
 // String renders the spec.

@@ -5,7 +5,7 @@
 //
 // The plant is a first-order thermal model: the DIMM's temperature
 // relaxes toward ambient and rises with heater power. The Controller
-// closes the loop and exposes the achieved temperature trace, which the
+// closes the loop and reports the achieved temperature, which the
 // characterization harness feeds into the device model's Arrhenius
 // factor.
 package thermal
@@ -127,8 +127,6 @@ type Controller struct {
 	pid      PID
 	setpoint float64
 	dt       time.Duration
-
-	samples []float64
 }
 
 // ControllerConfig configures a temperature controller.
@@ -166,46 +164,13 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	}, nil
 }
 
-// Setpoint returns the regulation target.
-func (c *Controller) Setpoint() float64 { return c.setpoint }
-
-// SetSetpoint retargets the controller (e.g. for temperature sweeps).
-func (c *Controller) SetSetpoint(t float64) { c.setpoint = t }
-
 // Run advances the closed loop for a duration and returns the final
 // temperature.
 func (c *Controller) Run(d time.Duration) float64 {
 	steps := int(d / c.dt)
 	for i := 0; i < steps; i++ {
 		power := c.pid.Update(c.setpoint, c.plant.Temperature(), c.dt)
-		t := c.plant.Step(power, c.dt)
-		c.samples = append(c.samples, t)
+		c.plant.Step(power, c.dt)
 	}
 	return c.plant.Temperature()
-}
-
-// Stability returns the maximum deviation from the setpoint over the
-// last windowSamples control ticks (the paper reports ±0.2 C over 24 h).
-func (c *Controller) Stability(windowSamples int) float64 {
-	if windowSamples <= 0 || windowSamples > len(c.samples) {
-		windowSamples = len(c.samples)
-	}
-	maxDev := 0.0
-	for _, t := range c.samples[len(c.samples)-windowSamples:] {
-		d := t - c.setpoint
-		if d < 0 {
-			d = -d
-		}
-		if d > maxDev {
-			maxDev = d
-		}
-	}
-	return maxDev
-}
-
-// Samples returns a copy of the recorded temperature trace.
-func (c *Controller) Samples() []float64 {
-	out := make([]float64, len(c.samples))
-	copy(out, c.samples)
-	return out
 }

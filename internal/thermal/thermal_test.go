@@ -58,28 +58,14 @@ func TestControllerStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(20 * time.Minute) // settle
-	c.Run(30 * time.Minute) // hold
-	// Check the last 30 minutes only.
-	dev := c.Stability(int(30 * time.Minute / (100 * time.Millisecond)))
+	// Hold for 30 minutes, one 100 ms control tick at a time.
+	dev := 0.0
+	for i := 0; i < int(30*time.Minute/(100*time.Millisecond)); i++ {
+		c.Run(100 * time.Millisecond)
+		dev = math.Max(dev, math.Abs(plant.Temperature()-50))
+	}
 	if dev > 0.2 {
 		t.Errorf("steady-state deviation %.3fC, paper reports +-0.2C", dev)
-	}
-}
-
-func TestControllerRetarget(t *testing.T) {
-	plant := NewPlant(25)
-	c, err := NewController(ControllerConfig{Plant: plant, Setpoint: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Run(15 * time.Minute)
-	c.SetSetpoint(65)
-	if c.Setpoint() != 65 {
-		t.Fatal("setpoint not updated")
-	}
-	final := c.Run(15 * time.Minute)
-	if math.Abs(final-65) > 0.4 {
-		t.Errorf("after retarget: %.2fC, want 65", final)
 	}
 }
 
@@ -116,37 +102,5 @@ func TestPIDZeroDt(t *testing.T) {
 	pid := PID{Kp: 2, OutMin: -10, OutMax: 10}
 	if out := pid.Update(5, 0, 0); out != 10 {
 		t.Errorf("zero-dt output = %g, want clamped proportional 10", out)
-	}
-}
-
-func TestSamplesCopied(t *testing.T) {
-	plant := NewPlant(25)
-	c, err := NewController(ControllerConfig{Plant: plant, Setpoint: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Run(time.Minute)
-	s := c.Samples()
-	if len(s) == 0 {
-		t.Fatal("no samples")
-	}
-	s[0] = -1000
-	if c.Samples()[0] == -1000 {
-		t.Error("Samples returned internal slice")
-	}
-}
-
-func TestStabilityWindowBounds(t *testing.T) {
-	plant := NewPlant(25)
-	c, err := NewController(ControllerConfig{Plant: plant, Setpoint: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Run(time.Minute)
-	if d := c.Stability(0); d < 0 {
-		t.Error("zero-window stability negative")
-	}
-	if d := c.Stability(1 << 30); d < 0 {
-		t.Error("oversized window mishandled")
 	}
 }

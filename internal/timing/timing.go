@@ -116,33 +116,6 @@ func (s Set) Validate() error {
 	return nil
 }
 
-// Cycles converts a duration to a whole number of command-clock cycles,
-// rounding up so a wait never undershoots the requested duration.
-func (s Set) Cycles(d time.Duration) int64 {
-	if d <= 0 {
-		return 0
-	}
-	tck := int64(s.TCK)
-	return (int64(d) + tck - 1) / tck
-}
-
-// Duration converts a cycle count back to wall time.
-func (s Set) Duration(cycles int64) time.Duration {
-	return time.Duration(cycles) * s.TCK
-}
-
-// ClampAggOn clamps a requested aggressor-on time into the legal range
-// [tRAS, AggOnMax] swept by the paper.
-func ClampAggOn(t time.Duration) time.Duration {
-	if t < TRAS {
-		return TRAS
-	}
-	if t > AggOnMax {
-		return AggOnMax
-	}
-	return t
-}
-
 // PaperSweep returns the tAggON sweep points used to regenerate
 // Figs. 4-6: log-spaced from 36 ns to 300 us, always including the
 // paper-highlighted marks (36 ns, 636 ns, 7.8 us, 70.2 us, 300 us).

@@ -53,53 +53,6 @@ func TestValidateRejectsBadSets(t *testing.T) {
 	}
 }
 
-func TestCyclesRoundsUp(t *testing.T) {
-	s := Default()
-	tests := []struct {
-		d    time.Duration
-		want int64
-	}{
-		{0, 0},
-		{-time.Nanosecond, 0},
-		{time.Nanosecond, 1},
-		{36 * time.Nanosecond, 36},
-		{36*time.Nanosecond + 1, 37},
-	}
-	for _, tc := range tests {
-		if got := s.Cycles(tc.d); got != tc.want {
-			t.Errorf("Cycles(%v) = %d, want %d", tc.d, got, tc.want)
-		}
-	}
-}
-
-func TestDurationInvertsCycles(t *testing.T) {
-	s := Default()
-	for _, d := range []time.Duration{0, time.Nanosecond, TRAS, TREFI, time.Millisecond} {
-		c := s.Cycles(d)
-		if got := s.Duration(c); got < d {
-			t.Errorf("Duration(Cycles(%v)) = %v, must be >= input", d, got)
-		}
-	}
-}
-
-func TestClampAggOn(t *testing.T) {
-	tests := []struct {
-		in, want time.Duration
-	}{
-		{0, TRAS},
-		{TRAS, TRAS},
-		{TRAS - 1, TRAS},
-		{time.Microsecond, time.Microsecond},
-		{AggOnMax, AggOnMax},
-		{AggOnMax + time.Second, AggOnMax},
-	}
-	for _, tc := range tests {
-		if got := ClampAggOn(tc.in); got != tc.want {
-			t.Errorf("ClampAggOn(%v) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestPaperSweepProperties(t *testing.T) {
 	sweep := PaperSweep()
 	if len(sweep) < 10 {
