@@ -41,7 +41,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	uses := make(map[string]int)
-	var decls []string // "name\tpkg.Recv.name (file)"
+	type export struct{ name, where string }
+	var exports []export
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -67,11 +68,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 					continue
 				}
 				own[fd.Name] = true
-				qual := f.Name.Name + "." + fd.Name.Name
-				if fd.Recv != nil && len(fd.Recv.List) == 1 {
-					qual = f.Name.Name + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+				qual := f.Name.Name + "."
+				if fd.Recv != nil {
+					qual += recvName(fd.Recv.List[0].Type) + "."
 				}
-				decls = append(decls, fd.Name.Name+"\t"+qual+" ("+filepath.ToSlash(path)+")")
+				exports = append(exports, export{fd.Name.Name, qual + fd.Name.Name + " (" + filepath.ToSlash(path) + ")"})
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -87,12 +88,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	var unused []string
 	bad := 0
-	for _, d := range decls {
-		name, where, _ := strings.Cut(d, "\t")
-		if uses[name] > 0 {
+	for _, e := range exports {
+		if uses[e.name] > 0 {
 			continue
 		}
-		if why := testOnlyExports[name]; why != "" {
+		where := e.where
+		if why := testOnlyExports[e.name]; why != "" {
 			where += " [allowed: " + why + "]"
 		} else {
 			bad++
@@ -113,18 +114,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 
 // recvName returns the type name of a method receiver.
 func recvName(expr ast.Expr) string {
-	for {
-		switch e := expr.(type) {
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.IndexListExpr:
-			expr = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return "?"
-		}
+	if star, ok := expr.(*ast.StarExpr); ok {
+		expr = star.X
 	}
+	if id, ok := expr.(*ast.Ident); ok {
+		return id.Name
+	}
+	return "?"
 }
