@@ -252,10 +252,9 @@ func (e *Engine) Run(p *Program) error {
 	return e.RunFrom(p, 0)
 }
 
-// RunFrom executes the program starting at pc, keeping the engine's
-// clock and registers as they are, so a caller that positioned them
-// (a skipped stretch of a hammer loop, or an earlier segment) resumes
-// there.
+// RunFrom executes the program from instruction startPC, keeping the
+// engine's clock and registers as they are: the trace engine resumes a
+// hammer loop this way after fast-forwarding past skipped iterations.
 func (e *Engine) RunFrom(p *Program, startPC int) error {
 	if err := p.Validate(); err != nil {
 		return err

@@ -38,7 +38,7 @@ func table2GridSpecs(t *testing.T) []pattern.Spec {
 // cell-by-cell firstFlip over the materialized []WeakCell population.
 // It is the oracle the scalar-vs-batched cross-check tests pin the
 // batched kernel to, bit for bit. It borrows its engine's damage terms
-// and population cache, so the engine must not also solve batched.
+// and population cache.
 type scalarEngine struct {
 	e       *AnalyticEngine
 	cells   []device.WeakCell
