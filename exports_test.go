@@ -17,8 +17,8 @@ import (
 var testOnlyExports = map[string]string{
 	"WithClock":         "clock seam: lease-expiry tests advance a fake clock",
 	"WALWithClock":      "clock seam: WAL queue tests advance a fake clock",
-	"SetClock":          "clock seam: registry retention tests advance a fake clock",
-	"WithoutReplanning": "journal seam: tests pin static unit plans",
+	"SetClock":          "clock seam: DirQueue lease and registry retention tests advance a fake clock",
+	"WithoutReplanning": "queue seam: tests pin the static unit plan",
 	"WALWithoutSync":    "journal seam: tests skip fsync on throwaway journals",
 	"WALCompactEvery":   "journal seam: tests force compaction at chosen points",
 	"WithExactReplay":   "oracle switch: parity tests replay every act the fast path skips",
