@@ -98,10 +98,18 @@ func nsComparable(a, b snapshot) bool {
 // makes ns/op differences dispatch artifacts, not regressions, so the
 // gate warns and skips the ns rule instead of failing. Empty fields
 // (snapshots predating them) compare as equal so old baselines keep
-// the rule.
+// the rule. Older snapshots stamped "avx512" hosts, which ran the AVX2
+// kernels like any AVX2 host (no AVX-512 kernel was ever dispatched),
+// so that level reads as "avx2".
 func vectorComparable(a, b snapshot) bool {
 	eq := func(x, y string) bool { return x == "" || y == "" || x == y }
-	return eq(a.CPUFeature, b.CPUFeature) && eq(a.GOAMD64, b.GOAMD64)
+	level := func(s string) string {
+		if s == "avx512" {
+			return "avx2"
+		}
+		return s
+	}
+	return eq(level(a.CPUFeature), level(b.CPUFeature)) && eq(a.GOAMD64, b.GOAMD64)
 }
 
 // compareSnapshots applies the gate rules and returns one line per

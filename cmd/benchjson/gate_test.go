@@ -137,6 +137,20 @@ func TestCompareSnapshotsWarnsNotFailsOnVectorMismatch(t *testing.T) {
 	}
 }
 
+// TestCompareSnapshotsReadsAVX512AsAVX2: snapshots once stamped
+// AVX-512 hosts "avx512", but those hosts ran the same AVX2 kernels, so
+// such a baseline against a fresh "avx2" run keeps the ns/op rule live.
+func TestCompareSnapshotsReadsAVX512AsAVX2(t *testing.T) {
+	baseline := gateBaseline()
+	baseline.CPUFeature, baseline.GOAMD64 = "avx512", "v1"
+	fresh := gateBaseline()
+	fresh.CPUFeature, fresh.GOAMD64 = "avx2", "v1"
+	fresh.Benchmarks[2].NsPerOp *= 10
+	if v := compareSnapshots(baseline, fresh, 0.30, 100); len(v) != 1 || !strings.Contains(v[0], "ns/op") {
+		t.Fatalf("violations: %v", v)
+	}
+}
+
 // TestCompareSnapshotsGatesKernelBenchmarks: the SIMD solve and the
 // bulk bank fast-forward are time-critical alongside the campaign.
 func TestCompareSnapshotsGatesKernelBenchmarks(t *testing.T) {

@@ -48,6 +48,10 @@
 //     and an atomically-replaced file format; SaveCheckpoint,
 //     LoadCheckpoint and MergeCheckpoints (with the sentinel errors
 //     ErrBadCheckpoint and ErrConfigMismatch) round out the cycle.
+//     SaveCheckpoint's writer is reflection-free and its file bytes
+//     are unchanged: exactly what an indented json.Encoder writes. The
+//     coordinator reads canonical submit bodies with ScanCheckpoint,
+//     skipping encoding/json, and hands every other body to it.
 //
 // cmd/characterize wires these together behind -shard, -checkpoint,
 // -resume and -merge.

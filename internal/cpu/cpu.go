@@ -18,21 +18,14 @@ var X86 struct {
 	// HasAVX2 reports AVX2 with OS-saved YMM state: the 4-lane float64
 	// kernels are safe to run.
 	HasAVX2 bool
-	// HasAVX512 reports AVX-512 F+DQ with OS-saved ZMM state: the
-	// 8-lane float64 kernels are safe to run.
-	HasAVX512 bool
 }
 
-// Level names the widest vector tier detection found, for bench
-// snapshots and logs: "avx512", "avx2" or "scalar". Binaries built
-// with the purego tag always report "scalar".
+// Level names the widest vector tier a kernel exists for, for bench
+// snapshots and logs: "avx2" or "scalar". Binaries built with the
+// purego tag always report "scalar".
 func Level() string {
-	switch {
-	case X86.HasAVX512:
-		return "avx512"
-	case X86.HasAVX2:
+	if X86.HasAVX2 {
 		return "avx2"
-	default:
-		return "scalar"
 	}
+	return "scalar"
 }

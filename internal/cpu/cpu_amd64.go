@@ -20,24 +20,13 @@ func init() {
 		return
 	}
 	// XCR0: the OS must save/restore the register state a kernel
-	// clobbers — XMM+YMM for AVX2, and additionally opmask+ZMM for
-	// AVX-512.
+	// clobbers, XMM+YMM for AVX2.
 	xcr0, _ := xgetbv()
-	const (
-		ymmState = 0x6  // XMM (bit 1) + YMM (bit 2)
-		zmmState = 0xe6 // + opmask (bit 5) + ZMM_Hi256/Hi16_ZMM (bits 6-7)
-	)
+	const ymmState = 0x6 // XMM (bit 1) + YMM (bit 2)
 	if xcr0&ymmState != ymmState {
 		return
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
-	const (
-		avx2Bit     = 1 << 5
-		avx512fBit  = 1 << 16
-		avx512dqBit = 1 << 17
-	)
+	const avx2Bit = 1 << 5
 	X86.HasAVX2 = ebx7&avx2Bit != 0
-	X86.HasAVX512 = X86.HasAVX2 &&
-		xcr0&zmmState == zmmState &&
-		ebx7&avx512fBit != 0 && ebx7&avx512dqBit != 0
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rowfuse/internal/faultpoint"
+	"rowfuse/internal/jsonscan"
 	"rowfuse/internal/resultio"
 )
 
@@ -48,6 +49,65 @@ type submitRequest struct {
 	Lease      Lease                `json:"lease"`
 	Checkpoint *resultio.Checkpoint `json:"checkpoint"`
 	ElapsedNs  int64                `json:"elapsedNs,omitempty"`
+}
+
+// maxBodyHint caps how far a request's Content-Length, the client's
+// word, pre-sizes the buffer its body is read into; a longer body grows
+// the buffer as it arrives.
+const maxBodyHint = 64 << 10
+
+// readSubmit reads a POST /v1/submit body whole and decodes it.
+func readSubmit(r *http.Request) (submitRequest, error) {
+	var body bytes.Buffer
+	body.Grow(int(min(max(r.ContentLength, 0), maxBodyHint)) + bytes.MinRead)
+	if _, err := body.ReadFrom(r.Body); err != nil {
+		return submitRequest{}, err
+	}
+	return decodeSubmit(body.Bytes())
+}
+
+// decodeSubmit decodes a submit body as encoding/json's Decoder does:
+// the first JSON value counts and bytes after it are ignored. The
+// canonical envelope the Client sends, json.Marshal's layout of
+// {"lease":…,"checkpoint":…,"elapsedNs":…}, is read by jsonscan and
+// resultio.ScanCheckpoint, skipping encoding/json's reflection and
+// syntax passes; every other body goes to encoding/json, so the
+// accepted bodies and the decoded values are exactly its.
+func decodeSubmit(body []byte) (submitRequest, error) {
+	if req, ok := scanSubmit(body); ok {
+		return req, nil
+	}
+	var req submitRequest
+	err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+	return req, err
+}
+
+// scanSubmit reads the canonical submit envelope, or reports that body
+// is not one.
+func scanSubmit(body []byte) (req submitRequest, ok bool) {
+	s := jsonscan.New(body)
+	s.Expect('{')
+	s.Key("lease")
+	s.Expect('{')
+	s.Key("unit")
+	req.Lease.Unit = s.Int()
+	s.Field("worker")
+	req.Lease.Worker = s.String()
+	s.Field("token")
+	req.Lease.Token = s.String()
+	s.Field("expires")
+	req.Lease.Expires = s.Time()
+	if s.NextField("cells") {
+		req.Lease.Cells = jsonscan.Array(s, s.Int)
+	}
+	s.Expect('}')
+	s.Field("checkpoint")
+	req.Checkpoint = resultio.ScanCheckpoint(s)
+	if s.NextField("elapsedNs") {
+		req.ElapsedNs = s.Int64()
+	}
+	s.Expect('}')
+	return req, s.OK()
 }
 
 // partialRequest is the POST /v1/partial body; a nil Checkpoint with
@@ -106,6 +166,12 @@ const FollowSeparator = "\f\n"
 //
 // Every request passes the "http.server" fault point, so chaos tests
 // inject 5xx responses and slow replies without touching the queue.
+//
+// The submit handler reads its body whole. A canonical body, the one
+// Client.Submit sends, skips encoding/json (decodeSubmit); any other
+// goes to it, so the accepted bodies and the decoded values are
+// encoding/json's. GET /v1/checkpoint writes SaveCheckpoint's bytes,
+// which are unchanged, from its reflection-free writer.
 func NewHandler(q Queue) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/manifest", func(w http.ResponseWriter, r *http.Request) {
@@ -142,8 +208,8 @@ func NewHandler(q Queue) http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("POST /v1/submit", func(w http.ResponseWriter, r *http.Request) {
-		var req submitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		req, err := readSubmit(r)
+		if err != nil {
 			http.Error(w, "body must be {\"lease\": ..., \"checkpoint\": ...}", http.StatusBadRequest)
 			return
 		}

@@ -1,7 +1,6 @@
 package resultio
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
@@ -194,11 +193,17 @@ func (cp *Checkpoint) CellMap() (map[core.CellKey]core.AggregateState, error) {
 	return out, nil
 }
 
-// SaveCheckpoint writes the checkpoint as indented JSON.
+// SaveCheckpoint writes the checkpoint as indented JSON, the bytes
+// json.Encoder with SetIndent("", "  ") writes, in one Write. The
+// writer is reflection-free (encodeCheckpoint); only a fleet cell's
+// fold state goes through encoding/json. A value encoding/json refuses
+// (NaN, ±Inf) fails with its error and nothing is written.
 func SaveCheckpoint(w io.Writer, cp *Checkpoint) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(cp); err != nil {
+	b, err := encodeCheckpoint(cp)
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	if err != nil {
 		return fmt.Errorf("resultio: encode checkpoint: %w", err)
 	}
 	return nil
@@ -250,15 +255,16 @@ func WriteFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// WriteCheckpointFile atomically replaces path with the checkpoint
-// (write to a temp file in the same directory, fsync, rename), so a
-// crash mid-checkpoint can never destroy the previous good state.
+// WriteCheckpointFile atomically replaces path with the checkpoint's
+// SaveCheckpoint bytes (write to a temp file in the same directory,
+// fsync, rename), so a crash mid-checkpoint can never destroy the
+// previous good state.
 func WriteCheckpointFile(path string, cp *Checkpoint) error {
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, cp); err != nil {
-		return err
+	b, err := encodeCheckpoint(cp)
+	if err != nil {
+		return fmt.Errorf("resultio: encode checkpoint: %w", err)
 	}
-	return WriteFileAtomic(path, buf.Bytes())
+	return WriteFileAtomic(path, b)
 }
 
 // ReadCheckpointFile loads a checkpoint from disk and, when wantFingerprint
