@@ -115,7 +115,6 @@ func TestEndToEndMethodology(t *testing.T) {
 	chip, err := device.NewChip(device.ChipConfig{
 		Profile:  profile,
 		Params:   params,
-		NumBanks: 1,
 		NumRows:  numRows,
 		RowBytes: rowBytes,
 	})
@@ -186,12 +185,19 @@ func TestMitigationEndToEnd(t *testing.T) {
 	}
 
 	const victim = 1500
-	bank := newBank()
-	base, err := mitigation.Run(mitigation.EvalConfig{Bank: bank, Spec: spec, Victim: victim})
-	if err != nil {
-		t.Fatal(err)
+	characterize := func(cfg mitigation.EngineConfig) core.RowResult {
+		eng, err := mitigation.NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.CharacterizeRow(victim, spec, core.RunOpts{Budget: core.DefaultBudget, Data: device.Checkerboard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if !base.Flipped {
+	bank := newBank()
+	if characterize(mitigation.EngineConfig{Bank: bank}).NoBitflip {
 		t.Fatal("unprotected combined pattern did not flip")
 	}
 
@@ -215,14 +221,7 @@ func TestMitigationEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := mitigation.Run(mitigation.EvalConfig{
-		Bank: bank2, Spec: spec, Victim: victim,
-		Guard: guard, RefInterval: timing.TREFI,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prot.Flipped {
-		t.Errorf("TRR failed against the combined pattern at 636ns (flip at %v)", prot.FirstFlipAt)
+	if prot := characterize(mitigation.EngineConfig{Bank: bank2, Guard: guard, RefInterval: timing.TREFI}); !prot.NoBitflip {
+		t.Errorf("TRR failed against the combined pattern at 636ns (flip at %v)", prot.TimeToFirst)
 	}
 }

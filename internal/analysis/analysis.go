@@ -114,15 +114,6 @@ func (h *Histogram) Add(v float64) {
 	}
 }
 
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int {
-	n := 0
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
 // Overlap implements the paper's Fig. 6 definition: the number of unique
 // elements present in both sets divided by the size of the reference set
 // b. Returns ok=false when b is empty.

@@ -123,9 +123,6 @@ func (s *Sketch) AddN(v float64, n uint64) {
 	s.counts[s.binIndex(v)] += n
 }
 
-// Count reports the number of observations folded in.
-func (s *Sketch) Count() uint64 { return s.total }
-
 // Merge folds other into s. Merging is commutative and associative:
 // any grouping and order of shard merges yields an identical sketch
 // (and identical serialized bytes). other is left unchanged; merging
@@ -203,10 +200,6 @@ func (s *Sketch) Quantile(q float64) float64 {
 	}
 	return s.max
 }
-
-// Bins reports the number of occupied bins — the sketch's resident
-// size is O(Bins + 1), never O(observations).
-func (s *Sketch) Bins() int { return len(s.counts) }
 
 func (s *Sketch) sortedBins() []int32 {
 	idx := make([]int32, 0, len(s.counts))

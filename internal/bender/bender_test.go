@@ -31,7 +31,6 @@ func testChip(t *testing.T) *device.Chip {
 	c, err := device.NewChip(device.ChipConfig{
 		Profile:  profile,
 		Params:   device.DefaultParams(),
-		NumBanks: 2,
 		NumRows:  4096,
 		RowBytes: 256,
 	})

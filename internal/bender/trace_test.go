@@ -33,8 +33,8 @@ func TestRecordedTraceIsJEDECLegal(t *testing.T) {
 	}
 	tr := e.Trace()
 	wantCmds := iters * spec.ActsPerIteration() * 2
-	if tr.Len() != wantCmds {
-		t.Fatalf("trace has %d commands, want %d", tr.Len(), wantCmds)
+	if len(tr.Commands) != wantCmds {
+		t.Fatalf("trace has %d commands, want %d", len(tr.Commands), wantCmds)
 	}
 	if err := tr.Validate(timing.Default()); err != nil {
 		t.Errorf("recorded trace violates timing rules: %v", err)
@@ -60,7 +60,7 @@ func TestTraceEmptyWithoutRecording(t *testing.T) {
 	if err := e.Run(p); err != nil {
 		t.Fatal(err)
 	}
-	if e.Trace().Len() != 0 {
+	if len(e.Trace().Commands) != 0 {
 		t.Error("trace recorded without RecordTrace")
 	}
 }
@@ -79,8 +79,8 @@ func TestTraceReturnsCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := e.Trace()
-	if tr.Len() != 2 {
-		t.Fatalf("trace length %d", tr.Len())
+	if len(tr.Commands) != 2 {
+		t.Fatalf("trace length %d", len(tr.Commands))
 	}
 	tr.Commands[0].Row = 999
 	if e.Trace().Commands[0].Row == 999 {

@@ -118,13 +118,6 @@ func (mi ModuleInfo) DieLabel() string {
 	return fmt.Sprintf("%dGb %s-Die", mi.DensityGbit, mi.DieRev)
 }
 
-// PressImmune reports whether the module shows no RowPress-driven flips
-// within the 60 ms experiment budget (Micron 8Gb B dies).
-func (mi ModuleInfo) PressImmune() bool {
-	return mi.Paper.RP78.NoBitflip() && mi.Paper.RP702.NoBitflip() &&
-		mi.Paper.C78.NoBitflip() && mi.Paper.C702.NoBitflip()
-}
-
 // Modules returns the full Table 1 inventory in paper order.
 func Modules() []ModuleInfo {
 	out := make([]ModuleInfo, len(moduleTable))
@@ -612,18 +605,4 @@ func (mi ModuleInfo) Geometry() (numRows, rowBytes int) {
 		numRows = 131072
 	}
 	return numRows, 1024
-}
-
-// NewModule builds a simulated device for this DIMM with the inventory's
-// chip count and a density-appropriate geometry.
-func (mi ModuleInfo) NewModule(params device.DisturbParams, runSeed int64) (*device.Module, error) {
-	rows, rowBytes := mi.Geometry()
-	return device.NewModule(device.ModuleConfig{
-		Profile:  mi.Profile(params),
-		Params:   params,
-		NumChips: mi.NumChips,
-		NumRows:  rows,
-		RowBytes: rowBytes,
-		RunSeed:  runSeed,
-	})
 }

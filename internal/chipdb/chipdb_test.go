@@ -55,7 +55,7 @@ func TestByID(t *testing.T) {
 func TestPressImmuneModules(t *testing.T) {
 	for _, mi := range Modules() {
 		want := mi.ID == "M1" || mi.ID == "M2"
-		if got := mi.PressImmune(); got != want {
+		if got := mi.Profile(device.DefaultParams()).PressImmune; got != want {
 			t.Errorf("%s: PressImmune = %v, want %v", mi.ID, got, want)
 		}
 	}
@@ -146,17 +146,6 @@ func TestGeometry(t *testing.T) {
 	r16, w16 := s4.Geometry()
 	if r8 != 65536 || r16 != 131072 || w8 != 1024 || w16 != 1024 {
 		t.Errorf("geometries: 8Gb=(%d,%d) 16Gb=(%d,%d)", r8, w8, r16, w16)
-	}
-}
-
-func TestNewModuleBuildsDevice(t *testing.T) {
-	h0, _ := ByID("H0")
-	m, err := h0.NewModule(device.DefaultParams(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumChips() != h0.NumChips {
-		t.Errorf("device chips = %d, want %d", m.NumChips(), h0.NumChips)
 	}
 }
 

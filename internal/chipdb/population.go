@@ -64,8 +64,8 @@ type ChipSample struct {
 	// Base is the Table 2 module the chip was drawn from.
 	Base ModuleInfo
 	// Info is the synthetic module: Base with perturbed Table 2
-	// numbers and a per-chip ID ("S1#0000012345"). Info.Profile and
-	// Info.NewModule work exactly as for inventory modules.
+	// numbers and a per-chip ID ("S1#0000012345"). Info.Profile works
+	// exactly as for inventory modules.
 	Info ModuleInfo
 	// ProcessScale and PressScale are the applied lognormal factors
 	// (useful for reports and tests; both 1.0 means a nominal chip).

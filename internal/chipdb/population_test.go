@@ -49,7 +49,7 @@ func TestDeriveProfiles(t *testing.T) {
 			t.Fatalf("chip %d: HammerACmin %v, want %v", i, p.HammerACmin, want)
 		}
 		// Press immunity is inherited, never invented.
-		if c.Base.PressImmune() != c.Info.PressImmune() {
+		if c.Base.Profile(params).PressImmune != p.PressImmune {
 			t.Fatalf("chip %d: press immunity changed (base %s)", i, c.Base.ID)
 		}
 		if c.GroupKey() == "" {
@@ -90,11 +90,12 @@ func TestDeriveBuildsModules(t *testing.T) {
 	m := NewPopulation(3)
 	params := device.DefaultParams()
 	c := m.Derive(11)
-	mod, err := c.Info.NewModule(params, c.RunSeed)
-	if err != nil {
+	// A synthetic chip builds a simulated bank from its profile and
+	// geometry, as an inventory module does.
+	rows, rowBytes := c.Info.Geometry()
+	if _, err := device.NewBank(device.BankConfig{
+		Profile: c.Info.Profile(params), Params: params, NumRows: rows, RowBytes: rowBytes, RunSeed: c.RunSeed,
+	}); err != nil {
 		t.Fatal(err)
-	}
-	if mod == nil {
-		t.Fatal("nil module")
 	}
 }

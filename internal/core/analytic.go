@@ -553,6 +553,3 @@ func (e *AnalyticEngine) CharacterizeRowInto(victim int, spec pattern.Spec, opts
 	}
 	return nil
 }
-
-// NumRows returns the engine's bank row count.
-func (e *AnalyticEngine) NumRows() int { return e.numRows }

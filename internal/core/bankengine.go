@@ -48,8 +48,7 @@ type BankEngine struct {
 	// refEvery injects a REF through the driver whenever the hammer
 	// clock passes the next multiple of it (0 = refresh disabled, the
 	// paper's characterization methodology).
-	refEvery  time.Duration
-	refreshes int64
+	refEvery time.Duration
 
 	// Per-row scratch, hoisted so repeated characterizations do not
 	// allocate: the victim/aggressor fill buffers, the set of bits
@@ -154,10 +153,6 @@ func NewBankEngine(b *device.Bank, opts ...BankEngineOption) *BankEngine {
 	return e
 }
 
-// Refreshes returns how many periodic REFs WithRefreshEvery injected
-// during the most recent CharacterizeRow call.
-func (e *BankEngine) Refreshes() int64 { return e.refreshes }
-
 // actsFor returns the memoized act schedule of spec (specs repeat
 // across campaign loops; pattern.Spec.Acts allocates per call).
 func (e *BankEngine) actsFor(spec pattern.Spec) []pattern.Act {
@@ -188,7 +183,6 @@ func (e *BankEngine) CharacterizeRow(victim int, spec pattern.Spec, opts RunOpts
 		return RowResult{}, err
 	}
 	res := RowResult{Victim: victim, Spec: spec, NoBitflip: true}
-	e.refreshes = 0
 
 	e.bank.SetTemperature(opts.TempC)
 	rowBytes := e.bank.RowBytes()
@@ -258,7 +252,6 @@ func (e *BankEngine) hammer(victim int, spec pattern.Spec, acts []pattern.Act, m
 			if err := refresh(now); err != nil {
 				return fmt.Errorf("iter %d ref: %w", pos/n+1, err)
 			}
-			e.refreshes++
 			nextRef += e.refEvery
 			if rep != nil {
 				var err error

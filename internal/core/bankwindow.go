@@ -96,7 +96,6 @@ func (e *BankEngine) skipWindows(rep RefreshReplayer, victim int, acts []pattern
 		if err := rep.ReplayRefresh(now, e.windowRows[w.lo:w.hi]); err != nil {
 			return pos, now, nextRef, err
 		}
-		e.refreshes++
 		nextRef += e.refEvery
 	}
 }

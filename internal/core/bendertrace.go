@@ -77,10 +77,8 @@ func newTraceEngineFor(env EngineEnv, sc Scenario) (Engine, error) {
 		burst = 8
 	}
 	chip, err := device.NewChip(device.ChipConfig{
-		Profile: env.Profile,
-		Params:  env.Params,
-		// Only the bank under test is driven; don't carry 15 idle banks.
-		NumBanks: env.Bank + 1,
+		Profile:  env.Profile,
+		Params:   env.Params,
 		NumRows:  env.NumRows,
 		RowBytes: env.RowBytes,
 		RunSeed:  env.Run,

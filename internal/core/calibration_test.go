@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rowfuse/internal/chipdb"
+	"rowfuse/internal/device"
 	"rowfuse/internal/pattern"
 	"rowfuse/internal/timing"
 )
@@ -197,7 +198,7 @@ func TestObservation3(t *testing.T) {
 func flippingModules() []chipdb.ModuleInfo {
 	var out []chipdb.ModuleInfo
 	for _, mi := range chipdb.Modules() {
-		if !mi.PressImmune() {
+		if !mi.Profile(device.DefaultParams()).PressImmune {
 			out = append(out, mi)
 		}
 	}

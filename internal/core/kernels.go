@@ -95,8 +95,8 @@ type damageKernArgs struct {
 
 // damageSplit and damageFused are the dispatched kernel entry points,
 // selected once at init by pickDamageKernels (per-arch build-tagged
-// files); kernelLevel names the selection for logs and snapshots.
-var damageSplit, damageFused, kernelLevel = pickDamageKernels()
+// files).
+var damageSplit, damageFused = pickDamageKernels()
 
 // damageSplitScalar is the reference split kernel: the exact
 // arithmetic of the pre-extraction solveBatch damage loop, one cell at

@@ -22,9 +22,9 @@ func damageFusedAVX2(k *damageKernArgs)
 // 512 bits on current parts, and row batches are too short to amortize
 // a wider pipeline's startup, so no AVX-512 variant is kept. The
 // selection is per-process and happens before main.
-func pickDamageKernels() (split, fused func(*damageKernArgs), level string) {
+func pickDamageKernels() (split, fused func(*damageKernArgs)) {
 	if cpu.X86.HasAVX2 {
-		return damageSplitAVX2, damageFusedAVX2, "avx2"
+		return damageSplitAVX2, damageFusedAVX2
 	}
-	return damageSplitScalar, damageFusedScalar, "scalar"
+	return damageSplitScalar, damageFusedScalar
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"unsafe"
+
+	"rowfuse/internal/cpu"
 )
 
 // kernelUnderTest names one vector kernel pair the running binary can
@@ -192,7 +194,7 @@ func runKernelParity(t *testing.T, r *rand.Rand, laneGroups int, init bool) {
 	kf := p.args(refFused)
 	damageFusedScalar(&kf)
 
-	impls := append(vectorKernelsUnderTest(), kernelUnderTest{"dispatched:" + kernelLevel, damageSplit, damageFused})
+	impls := append(vectorKernelsUnderTest(), kernelUnderTest{"dispatched:" + cpu.Level(), damageSplit, damageFused})
 	for _, impl := range impls {
 		got := base.clone()
 		k := p.args(got)

@@ -170,7 +170,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 	same.Concurrency = 7
 	same.Shard = ShardPlan{Index: 1, Count: 3}
 	same.CheckpointEvery = 2
-	same.KeepObservations = true
 	same.Progress = func(int, int) {}
 	same.Checkpoint = func(map[CellKey]AggregateState) error { return nil }
 	if same.Fingerprint() != base {

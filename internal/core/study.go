@@ -57,12 +57,6 @@ type StudyConfig struct {
 	Opts RunOpts
 	// Concurrency bounds the worker pool (default GOMAXPROCS).
 	Concurrency int
-	// KeepObservations retains every raw RowObservation on the
-	// ModuleResult (memory-heavy at paper scale; the figure and table
-	// extractors only need the incremental aggregates). Raw
-	// observations are not part of the checkpointable aggregate state:
-	// cells restored via Seed have empty Rows (see Snapshot).
-	KeepObservations bool
 	// Progress, when set, is invoked after each completed cell with the
 	// done and total cell counts (called from worker goroutines; must be
 	// safe for concurrent use).
@@ -133,13 +127,11 @@ type RowObservation struct {
 }
 
 // ModuleResult aggregates the observations of one (module, pattern,
-// tAggON) cell. Aggregation is incremental (constant memory per cell);
-// raw observations are retained only with StudyConfig.KeepObservations.
+// tAggON) cell. Aggregation is incremental (constant memory per cell):
+// raw observations are folded and dropped.
 type ModuleResult struct {
 	Info chipdb.ModuleInfo
 	Spec pattern.Spec
-	// Rows holds the raw observations when KeepObservations is set.
-	Rows []RowObservation
 
 	// agg is the cell's fold: a dense grid aggregate for module
 	// cells, a distribution sketch for fleet cells.
@@ -608,10 +600,7 @@ func (s *Study) selectCells(grid []CellKey) (func(int) bool, error) {
 
 // Snapshot exports the aggregate state of every completed cell. The
 // snapshot is consistent (taken under the results lock) and safe to
-// serialize concurrently with an ongoing Run. Only the mergeable
-// aggregates are exported: raw observations kept under
-// KeepObservations do not survive a Snapshot/Seed round trip (restored
-// cells report Observations() > 0 with empty Rows). Each cell's state
+// serialize concurrently with an ongoing Run. Each cell's state
 // is exported once and cached, so the returned states share their flip
 // keys and fleet state with the study and with other snapshots:
 // callers must treat them as read-only.
@@ -629,9 +618,7 @@ func (s *Study) Snapshot() map[CellKey]AggregateState {
 // from a checkpoint or fusing shard checkpoints. Every key must lie on
 // this study's cell grid (callers are expected to have verified the
 // config fingerprint first). Seeding a cell that already has results
-// merges the two aggregates. Restored cells carry aggregates only —
-// raw rows kept under KeepObservations are not persisted, so their
-// Rows slice stays empty.
+// merges the two aggregates.
 func (s *Study) Seed(cells map[CellKey]AggregateState) error {
 	byID := make(map[string]chipdb.ModuleInfo, len(s.cfg.Modules))
 	for _, mi := range s.cfg.Modules {
@@ -810,9 +797,6 @@ func (s *Study) finishCell(job *cellJob) *ModuleResult {
 		for i := range dieObs {
 			o := &dieObs[i]
 			res.agg.Observe(o.Die, o.RowResult)
-			if s.cfg.KeepObservations {
-				res.Rows = append(res.Rows, *o)
-			}
 		}
 	}
 	// The job (and the run's task list holding it) outlives the cell;

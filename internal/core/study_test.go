@@ -25,9 +25,7 @@ func tinyStudyConfig(t *testing.T) StudyConfig {
 }
 
 func TestStudyRunPopulatesAllCells(t *testing.T) {
-	cfg := tinyStudyConfig(t)
-	cfg.KeepObservations = true
-	s := NewStudy(cfg)
+	s := NewStudy(tinyStudyConfig(t))
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -41,23 +39,8 @@ func TestStudyRunPopulatesAllCells(t *testing.T) {
 				if r.Observations() != 18 { // 3 regions x 6 rows x 1 die x 1 run
 					t.Errorf("cell %s/%s/%v has %d observations, want 18", mi.ID, k.Short(), aggOn, r.Observations())
 				}
-				if len(r.Rows) != 18 {
-					t.Errorf("cell %s/%s/%v kept %d raw observations, want 18", mi.ID, k.Short(), aggOn, len(r.Rows))
-				}
 			}
 		}
-	}
-	// Without KeepObservations, raw rows are dropped but aggregates stay.
-	s2 := NewStudy(tinyStudyConfig(t))
-	if err := s2.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	r2, _ := s2.Result("S0", pattern.DoubleSided, timing.TRAS)
-	if len(r2.Rows) != 0 {
-		t.Errorf("raw observations retained without KeepObservations: %d", len(r2.Rows))
-	}
-	if r2.Observations() != 18 {
-		t.Errorf("aggregate count = %d, want 18", r2.Observations())
 	}
 }
 

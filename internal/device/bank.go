@@ -46,9 +46,9 @@ type Bank struct {
 	openAt  time.Duration
 	isOpen  bool
 
-	tempC float64
-	// tf is params.TempFactor(tempC), cached because every disturbed
-	// row needs it on every precharge and it costs a math.Exp.
+	// tf is params.TempFactor of the die temperature, cached because
+	// every disturbed row needs it on every precharge and it costs a
+	// math.Exp. A bank starts at the reference temperature.
 	tf float64
 	// weakSide is the resolved weak-side press coupling.
 	weakSide float64
@@ -91,8 +91,6 @@ type BankConfig struct {
 	RowBytes int
 	// RunSeed selects the run-to-run noise realization (0 = noise-free).
 	RunSeed int64
-	// TempC is the initial die temperature (default: profile reference).
-	TempC float64
 	// Mapper is the in-DRAM row remapping (nil = identity).
 	Mapper RowMapper
 }
@@ -131,10 +129,6 @@ func (b *Bank) Reset(cfg BankConfig) error {
 	if cfg.NumRows < 8 {
 		return fmt.Errorf("device: bank needs at least 8 rows, got %d", cfg.NumRows)
 	}
-	temp := cfg.TempC
-	if temp == 0 {
-		temp = cfg.Params.TempRefC
-	}
 
 	// Spare buffers always have the current row width.
 	keepBufs := cfg.RowBytes == b.RowBytes()
@@ -166,8 +160,7 @@ func (b *Bank) Reset(cfg BankConfig) error {
 	b.openRow = -1
 	b.openAt = 0
 	b.isOpen = false
-	b.tempC = temp
-	b.tf = cfg.Params.TempFactor(temp)
+	b.tf = cfg.Params.TempFactor(cfg.Params.TempRefC)
 	b.weakSide = WeakSideCouplingOf(cfg.Profile, cfg.Params)
 	b.mapper = cfg.Mapper
 	b.refCursor = 0
@@ -182,17 +175,10 @@ func (b *Bank) NumRows() int { return b.numRows }
 // RowBytes returns the row width in bytes.
 func (b *Bank) RowBytes() int { return b.rowBits / 8 }
 
-// Index returns the bank index.
-func (b *Bank) Index() int { return b.index }
-
 // SetTemperature sets the die temperature used for subsequent damage.
 func (b *Bank) SetTemperature(c float64) {
-	b.tempC = c
 	b.tf = b.params.TempFactor(c)
 }
-
-// Temperature returns the current die temperature.
-func (b *Bank) Temperature() float64 { return b.tempC }
 
 // Counters returns (ACT, PRE, REF) counts since construction.
 func (b *Bank) Counters() (act, pre, ref int64) {

@@ -14,13 +14,11 @@ func DieProfile(p Profile, idx int) Profile {
 // Chip is one simulated DRAM die with multiple independently accessible
 // banks.
 type Chip struct {
-	profile  Profile
-	params   DisturbParams
-	index    int
-	banks    []*Bank
-	numRows  int
-	rowBytes int
+	banks []*Bank
 }
+
+// chipBanks is a chip's bank count (DDR4 x8 organization).
+const chipBanks = 16
 
 // ChipConfig configures a simulated chip.
 type ChipConfig struct {
@@ -29,8 +27,6 @@ type ChipConfig struct {
 	// Index is the chip index within its module; it perturbs the weak
 	// cell population seed so sibling dies differ.
 	Index int
-	// NumBanks defaults to 16 (DDR4 x8 organization).
-	NumBanks int
 	// NumRows per bank, default 65536.
 	NumRows int
 	// RowBytes per row, default 1024.
@@ -41,29 +37,10 @@ type ChipConfig struct {
 
 // NewChip constructs a chip with lazily materialized banks.
 func NewChip(cfg ChipConfig) (*Chip, error) {
-	if cfg.NumBanks == 0 {
-		cfg.NumBanks = 16
-	}
-	if cfg.NumBanks < 1 || cfg.NumBanks > 64 {
-		return nil, fmt.Errorf("device: bank count %d out of range", cfg.NumBanks)
-	}
-	if cfg.NumRows == 0 {
-		cfg.NumRows = 65536
-	}
-	if cfg.RowBytes == 0 {
-		cfg.RowBytes = 1024
-	}
 	// Each die of a module gets a distinct serial so its weak cells are
 	// unique, like real sibling dies.
 	prof := DieProfile(cfg.Profile, cfg.Index)
-	c := &Chip{
-		profile:  prof,
-		params:   cfg.Params,
-		index:    cfg.Index,
-		banks:    make([]*Bank, cfg.NumBanks),
-		numRows:  cfg.NumRows,
-		rowBytes: cfg.RowBytes,
-	}
+	c := &Chip{banks: make([]*Bank, chipBanks)}
 	for i := range c.banks {
 		b, err := NewBank(BankConfig{
 			Profile:  prof,
@@ -91,95 +68,3 @@ func (c *Chip) Bank(i int) (*Bank, error) {
 
 // NumBanks returns the bank count.
 func (c *Chip) NumBanks() int { return len(c.banks) }
-
-// Index returns the chip's position in its module.
-func (c *Chip) Index() int { return c.index }
-
-// Profile returns the chip's (die-serial-adjusted) profile.
-func (c *Chip) Profile() Profile { return c.profile }
-
-// SetTemperature propagates a die temperature to all banks.
-func (c *Chip) SetTemperature(tempC float64) {
-	for _, b := range c.banks {
-		b.SetTemperature(tempC)
-	}
-}
-
-// Module is a DIMM: several dies operating in lock-step. The
-// characterization harness accesses dies individually, as the paper does
-// when attributing bitflips to specific chips.
-type Module struct {
-	profile Profile
-	params  DisturbParams
-	chips   []*Chip
-}
-
-// ModuleConfig configures a simulated module.
-type ModuleConfig struct {
-	Profile Profile
-	Params  DisturbParams
-	// NumChips defaults to 8.
-	NumChips int
-	// NumBanks, NumRows, RowBytes mirror ChipConfig defaults.
-	NumBanks int
-	NumRows  int
-	RowBytes int
-	RunSeed  int64
-}
-
-// NewModule constructs a module of NumChips dies.
-func NewModule(cfg ModuleConfig) (*Module, error) {
-	if err := cfg.Profile.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.NumChips == 0 {
-		cfg.NumChips = 8
-	}
-	if cfg.NumChips < 1 || cfg.NumChips > 32 {
-		return nil, fmt.Errorf("device: chip count %d out of range", cfg.NumChips)
-	}
-	m := &Module{profile: cfg.Profile, params: cfg.Params}
-	for i := 0; i < cfg.NumChips; i++ {
-		chip, err := NewChip(ChipConfig{
-			Profile:  cfg.Profile,
-			Params:   cfg.Params,
-			Index:    i,
-			NumBanks: cfg.NumBanks,
-			NumRows:  cfg.NumRows,
-			RowBytes: cfg.RowBytes,
-			RunSeed:  cfg.RunSeed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		m.chips = append(m.chips, chip)
-	}
-	return m, nil
-}
-
-// Chip returns die i.
-func (m *Module) Chip(i int) (*Chip, error) {
-	if i < 0 || i >= len(m.chips) {
-		return nil, fmt.Errorf("device: chip index %d out of range [0,%d)", i, len(m.chips))
-	}
-	return m.chips[i], nil
-}
-
-// NumChips returns the die count.
-func (m *Module) NumChips() int { return len(m.chips) }
-
-// Profile returns the module profile.
-func (m *Module) Profile() Profile { return m.profile }
-
-// Params returns the disturbance parameters the module was built with.
-func (m *Module) Params() DisturbParams { return m.params }
-
-// SetTemperature propagates a temperature to every die.
-func (m *Module) SetTemperature(tempC float64) {
-	for _, c := range m.chips {
-		c.SetTemperature(tempC)
-	}
-}

@@ -24,9 +24,6 @@ func TestNewChipDefaults(t *testing.T) {
 }
 
 func TestNewChipValidation(t *testing.T) {
-	if _, err := NewChip(ChipConfig{Profile: validProfile(), Params: DefaultParams(), NumBanks: 100}); err == nil {
-		t.Error("accepted 100 banks")
-	}
 	bad := validProfile()
 	bad.HammerACmin = -1
 	if _, err := NewChip(ChipConfig{Profile: bad, Params: DefaultParams()}); err == nil {
@@ -47,79 +44,17 @@ func TestDieProfileDistinct(t *testing.T) {
 }
 
 func TestSiblingDiesHaveDistinctWeakCells(t *testing.T) {
-	m, err := NewModule(ModuleConfig{
-		Profile:  validProfile(),
-		Params:   DefaultParams(),
-		NumChips: 2,
-		NumRows:  4096,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c0, _ := m.Chip(0)
-	c1, _ := m.Chip(1)
-	b0, _ := c0.Bank(0)
-	b1, _ := c1.Bank(0)
-	cells0 := b0.VictimCells(100)
-	cells1 := b1.VictimCells(100)
-	if cells0[0].Bit == cells1[0].Bit && cells0[0].Th == cells1[0].Th {
-		t.Error("sibling dies have identical weak cells")
-	}
-}
-
-func TestModuleBasics(t *testing.T) {
-	m, err := NewModule(ModuleConfig{
-		Profile:  validProfile(),
-		Params:   DefaultParams(),
-		NumChips: 4,
-		NumRows:  4096,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumChips() != 4 {
-		t.Errorf("NumChips = %d, want 4", m.NumChips())
-	}
-	if _, err := m.Chip(4); err == nil {
-		t.Error("chip 4 accepted")
-	}
-	if m.Profile().Serial != "TEST-0" {
-		t.Errorf("module profile serial = %q", m.Profile().Serial)
-	}
-	if m.Params() != DefaultParams() {
-		t.Error("module params mismatch")
-	}
-}
-
-func TestModuleValidation(t *testing.T) {
-	if _, err := NewModule(ModuleConfig{Profile: Profile{}, Params: DefaultParams()}); err == nil {
-		t.Error("accepted empty profile")
-	}
-	if _, err := NewModule(ModuleConfig{Profile: validProfile(), Params: DefaultParams(), NumChips: 33}); err == nil {
-		t.Error("accepted 33 chips")
-	}
-}
-
-func TestSetTemperaturePropagates(t *testing.T) {
-	m, err := NewModule(ModuleConfig{
-		Profile:  validProfile(),
-		Params:   DefaultParams(),
-		NumChips: 2,
-		NumBanks: 2,
-		NumRows:  4096,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetTemperature(75)
-	for ci := 0; ci < m.NumChips(); ci++ {
-		c, _ := m.Chip(ci)
-		for bi := 0; bi < c.NumBanks(); bi++ {
-			b, _ := c.Bank(bi)
-			if b.Temperature() != 75 {
-				t.Fatalf("chip %d bank %d temperature = %g", ci, bi, b.Temperature())
-			}
+	var cells [2][]WeakCell
+	for i := range cells {
+		c, err := NewChip(ChipConfig{Profile: validProfile(), Params: DefaultParams(), Index: i, NumRows: 4096})
+		if err != nil {
+			t.Fatal(err)
 		}
+		b, _ := c.Bank(0)
+		cells[i] = b.VictimCells(100)
+	}
+	if cells[0][0].Bit == cells[1][0].Bit && cells[0][0].Th == cells[1][0].Th {
+		t.Error("sibling dies have identical weak cells")
 	}
 }
 
@@ -176,21 +111,6 @@ func TestMechanismString(t *testing.T) {
 	}
 }
 
-func TestChipSetTemperature(t *testing.T) {
-	c, err := NewChip(ChipConfig{Profile: validProfile(), Params: DefaultParams(), NumBanks: 2, NumRows: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetTemperature(60)
-	b, _ := c.Bank(1)
-	if b.Temperature() != 60 {
-		t.Errorf("bank temp = %g", b.Temperature())
-	}
-	if c.Index() != 0 {
-		t.Errorf("chip index = %d", c.Index())
-	}
-}
-
 func TestBankGeometryAccessors(t *testing.T) {
 	b, err := NewBank(BankConfig{
 		Profile:  validProfile(),
@@ -202,10 +122,7 @@ func TestBankGeometryAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.NumRows() != 4096 || b.RowBytes() != 512 || b.Index() != 3 {
-		t.Errorf("geometry accessors wrong: %d %d %d", b.NumRows(), b.RowBytes(), b.Index())
-	}
-	if b.Temperature() != DefaultParams().TempRefC {
-		t.Errorf("default temperature = %g, want reference %g", b.Temperature(), DefaultParams().TempRefC)
+	if b.NumRows() != 4096 || b.RowBytes() != 512 {
+		t.Errorf("geometry accessors wrong: %d %d", b.NumRows(), b.RowBytes())
 	}
 }

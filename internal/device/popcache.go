@@ -135,8 +135,3 @@ func (c *PopulationCache) Get(row int) *RowPopulation {
 	c.n.Add(1)
 	return rp
 }
-
-// Len returns the number of cached rows.
-func (c *PopulationCache) Len() int {
-	return int(c.n.Load())
-}

@@ -64,7 +64,7 @@ func TestResetMatchesNewBank(t *testing.T) {
 
 	other := validProfile()
 	other.Serial, other.WeakCellsPerMech = "RESET-CLEAN", 12
-	cfg := BankConfig{Profile: other, Params: DefaultParams(), Index: 2, NumRows: 32, RowBytes: 32, RunSeed: 1, TempC: 60}
+	cfg := BankConfig{Profile: other, Params: DefaultParams(), Index: 2, NumRows: 32, RowBytes: 32, RunSeed: 1}
 	if err := b.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -293,11 +293,6 @@ func GenerateRowCells(p Profile, d DisturbParams, bank, row int, rowBits int, ru
 	return rp.AppendCells(make([]WeakCell, 0, rp.Len()), runSeed)
 }
 
-// generateRetentionCells builds the retention-weak tail of a row.
-func generateRetentionCells(p Profile, bank, row int, rowBits int) []retCell {
-	return appendRetentionCells(nil, p, bank, row, rowBits)
-}
-
 // appendRetentionCells appends the retention-weak tail of a row to
 // dst, growing it at most once.
 func appendRetentionCells(dst []retCell, p Profile, bank, row int, rowBits int) []retCell {

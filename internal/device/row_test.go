@@ -95,8 +95,8 @@ func TestPopulationCache(t *testing.T) {
 	if b := c.Get(9); b != a {
 		t.Error("cache regenerated an already-cached row")
 	}
-	if c.Len() != 1 {
-		t.Errorf("cache holds %d rows, want 1", c.Len())
+	if n := c.n.Load(); n != 1 {
+		t.Errorf("cache holds %d rows, want 1", n)
 	}
 	// Every build through the cache reuses one bit set of assigned
 	// bits; each row must still match direct generation.
@@ -321,7 +321,7 @@ func TestSetBitProperty(t *testing.T) {
 
 func TestGenerateRetentionCells(t *testing.T) {
 	p := validProfile()
-	cells := generateRetentionCells(p, 0, 10, testRowBits)
+	cells := appendRetentionCells(nil, p, 0, 10, testRowBits)
 	if len(cells) == 0 {
 		t.Fatal("no retention cells generated")
 	}

@@ -209,10 +209,6 @@ func OpenDir(dir string) (*DirQueue, error) {
 	}, nil
 }
 
-// SetClock substitutes the queue's time source (tests drive lease
-// expiry without sleeping).
-func (q *DirQueue) SetClock(now func() time.Time) { q.now = now }
-
 // exclusiveCreate atomically creates name in dir with content, failing
 // with os.ErrExist if name already exists (or is exclusively claimed).
 //

@@ -35,3 +35,38 @@ const (
 // StateJSON returns a WALQueue's full in-memory state in its snapshot
 // encoding, for replay-parity checks.
 func StateJSON(q *WALQueue) ([]byte, error) { return json.Marshal(q.mem.snapshotState()) }
+
+// WALWithClock substitutes a WALQueue's time source, so tests drive
+// lease expiry without sleeping.
+func WALWithClock(now func() time.Time) WALQueueOption {
+	return func(q *WALQueue) { q.mem.now = now }
+}
+
+// WALWithoutSync skips per-record fsync on a throwaway journal. Appends
+// still go straight to the OS; only machine-crash durability is lost.
+func WALWithoutSync() WALQueueOption {
+	return func(q *WALQueue) { q.nosync = true }
+}
+
+// WALCompactEvery overrides the journal's compaction threshold, so
+// tests force compaction at chosen points.
+func WALCompactEvery(n int) WALQueueOption {
+	return func(q *WALQueue) {
+		if n > 0 {
+			q.compactEvery = n
+		}
+	}
+}
+
+// Failed returns the journal error that poisoned the queue, or nil. A
+// poisoned queue rejects every mutation; the chaos tests reopen the
+// directory to resume from the durable state.
+func (q *WALQueue) Failed() error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.failed
+}
+
+// SetClock substitutes a DirQueue's time source, so tests drive lease
+// expiry without sleeping.
+func (q *DirQueue) SetClock(now func() time.Time) { q.now = now }

@@ -81,14 +81,6 @@ type Registry struct {
 	closed    bool
 }
 
-// SetClock replaces the retention clock (tests only; the default is
-// time.Now).
-func (r *Registry) SetClock(now func() time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.now = now
-}
-
 // Open loads (or initializes) a registry state directory, reopening
 // every committed campaign's durable queue. A campaign directory
 // whose journal is damaged fails the open loudly — silently dropping
@@ -166,15 +158,6 @@ func (r *Registry) Create(m dispatch.Manifest) (Meta, error) {
 	}
 	r.campaigns[meta.ID] = &campaign{meta: meta, queue: q, handler: dispatch.NewHandler(q)}
 	return meta, nil
-}
-
-// Get returns a campaign's queue, or dispatch.ErrUnknownCampaign.
-func (r *Registry) Get(id string) (*dispatch.WALQueue, error) {
-	c, err := r.lookup(id)
-	if err != nil {
-		return nil, err
-	}
-	return c.queue, nil
 }
 
 // Authorize checks a campaign worker token, mapping an unknown id to

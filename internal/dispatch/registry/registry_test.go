@@ -390,15 +390,15 @@ func TestRetentionSweep(t *testing.T) {
 	if len(removed) != 1 || removed[0] != doomed.ID {
 		t.Fatalf("sweep removed %v, want [%s]", removed, doomed.ID)
 	}
-	if _, err := reg.Get(doomed.ID); !errors.Is(err, dispatch.ErrUnknownCampaign) {
-		t.Fatalf("Get after GC = %v, want ErrUnknownCampaign", err)
+	if _, err := reg.Describe(doomed.ID); !errors.Is(err, dispatch.ErrUnknownCampaign) {
+		t.Fatalf("Describe after GC = %v, want ErrUnknownCampaign", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, doomed.ID)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("campaign directory survived GC: %v", err)
 	}
 
 	// The live campaign is untouched, now and on every future sweep.
-	if _, err := reg.Get(live.ID); err != nil {
+	if _, err := reg.Describe(live.ID); err != nil {
 		t.Fatal(err)
 	}
 	now = now.Add(24 * time.Hour)

@@ -96,28 +96,6 @@ const (
 // WALQueueOption customizes a WALQueue.
 type WALQueueOption func(*WALQueue)
 
-// WALWithClock substitutes the queue's time source (tests drive lease
-// expiry without sleeping).
-func WALWithClock(now func() time.Time) WALQueueOption {
-	return func(q *WALQueue) { q.mem.now = now }
-}
-
-// WALWithoutSync skips per-record fsync. Appends still go straight to
-// the OS (a process crash loses nothing); only machine-crash
-// durability is traded away. For benchmarks and tests.
-func WALWithoutSync() WALQueueOption {
-	return func(q *WALQueue) { q.nosync = true }
-}
-
-// WALCompactEvery overrides the journal's compaction threshold.
-func WALCompactEvery(n int) WALQueueOption {
-	return func(q *WALQueue) {
-		if n > 0 {
-			q.compactEvery = n
-		}
-	}
-}
-
 // CreateWALQueue initializes a durable campaign queue in dir (created
 // if missing). Fails if dir already holds a queue — reopen one with
 // OpenWALQueue instead.
@@ -409,16 +387,6 @@ func (q *WALQueue) Requeue(unit int) error {
 // Drop implements Queue; the drop is journaled and fsynced.
 func (q *WALQueue) Drop(unit int) error {
 	return q.mutate(func() error { return q.mem.Drop(unit) })
-}
-
-// Failed returns the journal error that poisoned the queue, or nil.
-// A poisoned queue rejects every mutation; the owner should reopen
-// the directory (OpenWALQueue) to resume from the durable state —
-// chaos tests use exactly that loop.
-func (q *WALQueue) Failed() error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.failed
 }
 
 // LoadPartial implements Queue (read-only: nothing to journal).

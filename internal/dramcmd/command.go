@@ -96,18 +96,6 @@ func (t *Trace) Append(c Command) {
 	t.Commands = append(t.Commands, c)
 }
 
-// Len returns the number of commands.
-func (t *Trace) Len() int { return len(t.Commands) }
-
-// End returns the issue time of the last command, or zero for an empty
-// trace.
-func (t *Trace) End() time.Duration {
-	if len(t.Commands) == 0 {
-		return 0
-	}
-	return t.Commands[len(t.Commands)-1].At
-}
-
 // ViolationError describes a timing-rule violation found in a trace.
 type ViolationError struct {
 	Index int    // offending command index

@@ -71,19 +71,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}, nil
 }
 
-// Refreshes returns how many periodic REFs the last CharacterizeRow
-// issued; TRRRefreshes how many targeted refreshes the guard has fired
-// over the engine's lifetime (0 without a guard).
-func (e *Engine) Refreshes() int64 { return e.inner.Refreshes() }
-
-// TRRRefreshes returns the guard's cumulative targeted-refresh count.
-func (e *Engine) TRRRefreshes() int64 {
-	if e.guard == nil {
-		return 0
-	}
-	return e.guard.TRRRefreshes()
-}
-
 // CharacterizeRow implements core.Engine: hammer the victim under the
 // configured mitigations, then — with ECC on — re-judge the first-flip
 // readback through SEC-DED word decoding. A flip every word of which

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"rowfuse/internal/core"
 	"rowfuse/internal/device"
 	"rowfuse/internal/pattern"
 	"rowfuse/internal/timing"
@@ -217,20 +218,30 @@ func mitSpec(t *testing.T, k pattern.Kind, aggOn time.Duration) pattern.Spec {
 	return s
 }
 
-func TestBaselineFlipsWithoutMitigation(t *testing.T) {
-	res, err := Run(EvalConfig{
-		Bank:   mitBank(t),
-		Spec:   mitSpec(t, pattern.DoubleSided, timing.TRAS),
-		Victim: 500,
-	})
+// characterize hammers victim on bank through the mitigation engine
+// that -exp mitigation runs, at the paper's budget and data pattern, and
+// returns the result with the REF commands the bank saw.
+func characterize(t *testing.T, cfg EngineConfig, spec pattern.Spec, victim int) (core.RowResult, int64) {
+	t.Helper()
+	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Flipped {
+	res, err := eng.CharacterizeRow(victim, spec, core.RunOpts{Budget: core.DefaultBudget, Data: device.Checkerboard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, refs := cfg.Bank.Counters()
+	return res, refs
+}
+
+func TestBaselineFlipsWithoutMitigation(t *testing.T) {
+	res, refs := characterize(t, EngineConfig{Bank: mitBank(t)}, mitSpec(t, pattern.DoubleSided, timing.TRAS), 500)
+	if res.NoBitflip {
 		t.Fatal("unprotected RowHammer did not flip")
 	}
-	if res.Refreshes != 0 {
-		t.Errorf("baseline issued %d refreshes, want 0 (paper methodology)", res.Refreshes)
+	if refs != 0 {
+		t.Errorf("baseline issued %d refreshes, want 0 (paper methodology)", refs)
 	}
 }
 
@@ -240,23 +251,15 @@ func TestTRRGuardBlocksRowHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(EvalConfig{
-		Bank:        bank,
-		Spec:        mitSpec(t, pattern.DoubleSided, timing.TRAS),
-		Victim:      500,
-		Guard:       guard,
-		RefInterval: timing.TREFI,
-	})
-	if err != nil {
-		t.Fatal(err)
+	res, refs := characterize(t, EngineConfig{Bank: bank, Guard: guard, RefInterval: timing.TREFI},
+		mitSpec(t, pattern.DoubleSided, timing.TRAS), 500)
+	if !res.NoBitflip {
+		t.Errorf("TRR failed against two-aggressor RowHammer (flip at %v)", res.TimeToFirst)
 	}
-	if res.Flipped {
-		t.Errorf("TRR failed against two-aggressor RowHammer (flip at %v)", res.FirstFlipAt)
-	}
-	if res.TRRRefreshes == 0 {
+	if guard.TRRRefreshes() == 0 {
 		t.Error("guard never fired a targeted refresh")
 	}
-	if res.Refreshes == 0 {
+	if refs == 0 {
 		t.Error("no regular refreshes issued")
 	}
 }
@@ -265,17 +268,9 @@ func TestRegularRefreshAloneIsInsufficient(t *testing.T) {
 	// Without TRR, plain tREFI refresh does not stop RowHammer: a
 	// victim's turn in the round-robin comes only once per tREFW, far
 	// apart enough for ACmin to accumulate.
-	bank := mitBank(t)
-	res, err := Run(EvalConfig{
-		Bank:        bank,
-		Spec:        mitSpec(t, pattern.DoubleSided, timing.TRAS),
-		Victim:      500,
-		RefInterval: timing.TREFI,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Flipped {
+	res, _ := characterize(t, EngineConfig{Bank: mitBank(t), RefInterval: timing.TREFI},
+		mitSpec(t, pattern.DoubleSided, timing.TRAS), 500)
+	if res.NoBitflip {
 		t.Skip("round-robin refresh happened to cover the victim in time on this geometry")
 	}
 }
@@ -294,10 +289,14 @@ func TestGuardValidation(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(EvalConfig{}); err == nil {
-		t.Error("accepted nil bank")
+	if _, err := NewEngine(EngineConfig{}); err != ErrNilBank {
+		t.Errorf("nil bank: %v, want ErrNilBank", err)
 	}
-	if _, err := Run(EvalConfig{Bank: mitBank(t), Victim: 0}); err == nil {
+	eng, err := NewEngine(EngineConfig{Bank: mitBank(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.CharacterizeRow(0, mitSpec(t, pattern.DoubleSided, timing.TRAS), core.RunOpts{}); err == nil {
 		t.Error("accepted edge victim")
 	}
 }

@@ -227,6 +227,3 @@ func (g *Guard) ReplayRefresh(now time.Duration, rows []int) error {
 	g.targets = append(g.targets[:0], rows...)
 	return g.refreshTargets(now)
 }
-
-// TRRRefreshes returns how many targeted refreshes have been issued.
-func (g *Guard) TRRRefreshes() int64 { return g.trrRefreshes }

@@ -137,9 +137,6 @@ func checkWindowParity(t testing.TB, c windowCase) (flips []time.Duration) {
 		if ga != wa || gp != wp || gr != wr {
 			t.Fatalf("%v: victim %d: bank counters ACT/PRE/REF %d/%d/%d, want %d/%d/%d", c, v, ga, gp, gr, wa, wp, wr)
 		}
-		if g, w := fast.eng.Refreshes(), exact.eng.Refreshes(); g != w {
-			t.Fatalf("%v: victim %d: engine REFs %d, want %d", c, v, g, w)
-		}
 		if g, w := fast.guard.TRRRefreshes(), exact.guard.TRRRefreshes(); g != w {
 			t.Fatalf("%v: victim %d: TRR refreshes %d, want %d", c, v, g, w)
 		}

@@ -37,23 +37,6 @@ func (Identity) Logical(p int) int { return p }
 // Name implements Scheme.
 func (Identity) Name() string { return "identity" }
 
-// BitFlip XOR-inverts a fixed set of row address bits — an unconditional
-// XOR by a constant is a bijective involution, modeling vendors that
-// invert low-order address bits across the whole array.
-type BitFlip struct {
-	// Mask selects the address bits that are XOR-inverted.
-	Mask int
-}
-
-// Physical implements Scheme.
-func (s BitFlip) Physical(l int) int { return l ^ s.Mask }
-
-// Logical implements Scheme (XOR by a constant is its own inverse).
-func (s BitFlip) Logical(p int) int { return p ^ s.Mask }
-
-// Name implements Scheme.
-func (s BitFlip) Name() string { return fmt.Sprintf("bitflip(mask=%#x)", s.Mask) }
-
 // GroupSwizzle models vendors that permute rows within fixed-size groups
 // (e.g. 4-row twists in some Micron parts): within each group of Size
 // rows, row i maps to Perm[i].
