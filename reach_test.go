@@ -98,7 +98,7 @@ func reachScan(root, modPath string, allow map[string]string) (*reachResult, err
 	for _, tags := range reachBuilds {
 		ctx := build.Default
 		ctx.GOOS, ctx.GOARCH, ctx.CgoEnabled, ctx.BuildTags = "linux", "amd64", false, tags
-		l := &loader{fset: fset, ctx: &ctx, modPath: modPath, root: root, dirs: dirs, parsed: parsed, std: std, pkgs: make(map[string]*loadedPkg)}
+		l := &loader{fset: fset, ctx: &ctx, modPath: modPath, root: root, parsed: parsed, std: std, pkgs: make(map[string]*loadedPkg)}
 		for _, rel := range dirs {
 			if _, err := l.load(l.importPath(rel)); err != nil {
 				return nil, err
@@ -109,16 +109,12 @@ func reachScan(root, modPath string, allow map[string]string) (*reachResult, err
 			return nil, err
 		}
 		g.run()
-		fromPrograms := make(map[types.Object]bool, len(g.reached))
-		for obj := range g.reached {
-			fromPrograms[obj] = true
-		}
+		// Marking a seam reaches nothing else until the next run, so
+		// each seam is checked against what the programs alone reach.
 		for obj := range g.decls {
 			if name := g.qualName(obj); allow[name] != "" {
 				seamFound[name] = true
-				if fromPrograms[obj] {
-					seamReached[name] = true
-				}
+				seamReached[name] = seamReached[name] || g.reached[obj]
 				g.mark(obj)
 			}
 		}
@@ -196,7 +192,6 @@ func relPos(root string, p token.Position) string {
 
 // loadedPkg is one type-checked package of one build.
 type loadedPkg struct {
-	rel      string
 	pkg      *types.Package
 	files    []*ast.File
 	info     *types.Info
@@ -211,7 +206,6 @@ type loader struct {
 	ctx     *build.Context
 	modPath string
 	root    string
-	dirs    []string
 	parsed  map[string]*ast.File
 	std     types.Importer
 	pkgs    map[string]*loadedPkg
@@ -285,7 +279,6 @@ func (l *loader) load(importPath string) (*loadedPkg, error) {
 	}
 	top := strings.SplitN(rel, "/", 2)[0]
 	lp := &loadedPkg{
-		rel:      rel,
 		pkg:      pkg,
 		files:    files,
 		info:     info,
@@ -305,18 +298,16 @@ type reachDecl struct {
 
 // reachGraph follows references through one build's packages.
 type reachGraph struct {
-	l       *loader
 	decls   map[types.Object]*reachDecl
 	reached map[types.Object]bool
 	queue   []types.Object
-	types   []*types.Named                         // reached named types, in order
+	types   []*types.Named                       // reached named types, in order
 	called  map[*types.Interface]map[string]bool // interface methods reached code calls
-	inits   []reachDecl                           // initializers that run in some program
+	inits   []reachDecl                          // initializers that run in some program
 }
 
 func newReachGraph(l *loader) (*reachGraph, error) {
 	g := &reachGraph{
-		l:       l,
 		decls:   make(map[types.Object]*reachDecl),
 		reached: make(map[types.Object]bool),
 		called:  make(map[*types.Interface]map[string]bool),
@@ -342,9 +333,13 @@ func newReachGraph(l *loader) (*reachGraph, error) {
 			}
 		}
 	}
-	for _, called := range stdlibCalled(l) {
-		for i := 0; i < called.NumMethods(); i++ {
-			g.call(called, called.Method(i).Name())
+	called, err := stdlibCalled(l.std)
+	if err != nil {
+		return nil, err
+	}
+	for _, iface := range called {
+		for i := 0; i < iface.NumMethods(); i++ {
+			g.call(iface, iface.Method(i).Name())
 		}
 	}
 	// Roots: every program's main and init functions, and the
@@ -396,7 +391,7 @@ func (g *reachGraph) add(obj types.Object, d *reachDecl) {
 
 // stdlibCalled returns the interfaces whose methods the runtime or the
 // standard library call on values handed to them.
-func stdlibCalled(l *loader) []*types.Interface {
+func stdlibCalled(std types.Importer) ([]*types.Interface, error) {
 	named := []struct{ pkg, name string }{
 		{"encoding/json", "Marshaler"},
 		{"encoding/json", "Unmarshaler"},
@@ -407,9 +402,9 @@ func stdlibCalled(l *loader) []*types.Interface {
 	}
 	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
 	for _, n := range named {
-		p, err := l.std.Import(n.pkg)
+		p, err := std.Import(n.pkg)
 		if err != nil {
-			continue
+			return nil, err
 		}
 		out = append(out, p.Scope().Lookup(n.name).Type().Underlying().(*types.Interface))
 	}
@@ -417,7 +412,7 @@ func stdlibCalled(l *loader) []*types.Interface {
 	unwrap := types.NewFunc(token.NoPos, nil, "Unwrap", types.NewSignatureType(nil, nil, nil, nil,
 		types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Universe.Lookup("error").Type())), false))
 	out = append(out, types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete())
-	return out
+	return out, nil
 }
 
 // mark records obj as reached and queues its declaration.
@@ -543,4 +538,94 @@ func (g *reachGraph) qualName(obj types.Object) string {
 		}
 	}
 	return name + obj.Name()
+}
+
+// TestReachScanFindsPlantedCode runs reachScan over a small module and
+// requires exactly the planted findings: two the name matcher missed (a
+// helper only a dead function calls, and a method that shares its name
+// with a reached method of another type) and none of the three ways a
+// declaration is reached without a direct call from a program.
+func TestReachScanFindsPlantedCode(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module synth\n\ngo 1.24\n",
+		"cmd/app/main.go": `package main
+
+import (
+	"fmt"
+
+	"synth/internal/lib"
+)
+
+func main() {
+	var s lib.Shape = lib.Square{}
+	fmt.Println(s.Area(), lib.Kernel(), lib.Circle{}.Perimeter(), lib.Triangle{}, lib.Label{}, lib.Used())
+}
+`,
+		"internal/lib/lib.go": `package lib
+
+type Shape interface{ Area() float64 }
+
+type Square struct{}
+
+func (Square) Area() float64 { return 1 }
+
+type Circle struct{}
+
+func (Circle) Perimeter() float64 { return 2 }
+
+type Triangle struct{}
+
+func (Triangle) Perimeter() float64 { return 3 }
+
+func Dead() int { return helper() }
+
+func helper() int { return 4 }
+
+type Label struct{}
+
+func (Label) String() string { return "label" }
+
+func Seam() int { return 5 }
+
+func Used() int { return 6 }
+`,
+		"internal/lib/kernel_purego.go": `//go:build purego
+
+package lib
+
+func Kernel() int { return pureHelper() }
+
+func pureHelper() int { return 7 }
+`,
+		"internal/lib/kernel_default.go": `//go:build !purego
+
+package lib
+
+func Kernel() int { return 8 }
+`,
+	}
+	for name, src := range files {
+		p := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := reachScan(dir, "synth", map[string]string{"lib.Seam": "tests", "lib.Used": "tests", "lib.Gone": "tests"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, u := range r.unreached {
+		got = append(got, strings.SplitN(u, " ", 2)[0])
+	}
+	if want := []string{"lib.Dead", "lib.Triangle.Perimeter", "lib.helper"}; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("unreached = %v, want %v", r.unreached, want)
+	}
+	if strings.Join(r.reachedSeams, ",") != "lib.Used" || strings.Join(r.unknown, ",") != "lib.Gone" {
+		t.Errorf("seams reached by the program %v and naming nothing %v, want [lib.Used] and [lib.Gone]", r.reachedSeams, r.unknown)
+	}
 }
