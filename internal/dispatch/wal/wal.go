@@ -63,7 +63,8 @@ const (
 
 	// maxPayload bounds a record's declared payload length. A frame
 	// claiming more is corrupt framing, not a big record: the largest
-	// legitimate payload (a whole-campaign checkpoint) is a few MB.
+	// legitimate payload (a whole-campaign checkpoint) is a few MB, and
+	// the writers refuse anything longer with ErrTooLarge.
 	maxPayload = 64 << 20
 )
 
@@ -89,6 +90,11 @@ var (
 	ErrBadSnapshot = errors.New("wal: bad snapshot")
 	// ErrClosed reports an append to a closed log.
 	ErrClosed = errors.New("wal: log closed")
+	// ErrTooLarge reports a payload longer than the reader accepts.
+	// Append and WriteSnapshot refuse it and write nothing, rather than
+	// leave a frame that Open would truncate as a damaged suffix and
+	// ReadSnapshot would reject.
+	ErrTooLarge = errors.New("wal: payload too large")
 )
 
 // Record is one replayed log entry.
@@ -225,6 +231,14 @@ func parseRecord(data []byte, prev uint64) (Record, int, error) {
 	return Record{Seq: seq, Kind: kind, Payload: append([]byte(nil), body[recHeadSize:]...)}, total, nil
 }
 
+// checkPayload refuses a payload the reader would reject as corrupt.
+func checkPayload(payload []byte) error {
+	if len(payload) > maxPayload {
+		return fmt.Errorf("%w: %d bytes, limit %d", ErrTooLarge, len(payload), maxPayload)
+	}
+	return nil
+}
+
 // encodeRecord frames one record.
 func encodeRecord(kind uint8, seq uint64, payload []byte) []byte {
 	buf := make([]byte, recHeadSize+len(payload)+crcSize)
@@ -245,6 +259,9 @@ func encodeRecord(kind uint8, seq uint64, payload []byte) []byte {
 func (l *Log) Append(kind uint8, payload []byte) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
+	}
+	if err := checkPayload(payload); err != nil {
+		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	if err := faultpoint.Check("wal.append"); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
@@ -308,6 +325,9 @@ func (l *Log) Close() error {
 // temp-write/fsync/rename replace means a crash mid-compaction leaves
 // either the old snapshot or the new one, never a torn file.
 func WriteSnapshot(path string, lastSeq uint64, payload []byte) error {
+	if err := checkPayload(payload); err != nil {
+		return fmt.Errorf("wal: snapshot: %w", err)
+	}
 	if err := faultpoint.Check("wal.snapshot"); err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}

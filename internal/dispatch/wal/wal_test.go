@@ -315,3 +315,59 @@ func TestLogResetKeepsSequence(t *testing.T) {
 		t.Fatalf("after reset: %d records, first seq %d", len(recs), recs[0].Seq)
 	}
 }
+
+// TestAppendRefusesOversizedPayload: a payload the reader would reject
+// is refused before anything is written, so the log still opens with
+// every earlier record and appends continue the sequence.
+func TestAppendRefusesOversizedPayload(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "q.wal")
+	before := writeLog(t, path, 3)
+	l, _, _, err := wal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(1, make([]byte, wal.MaxPayload+1)); !errors.Is(err, wal.ErrTooLarge) {
+		t.Fatalf("oversized append: %v, want ErrTooLarge", err)
+	}
+	if l.LastSeq() != 3 {
+		t.Fatalf("refused append moved the sequence to %d", l.LastSeq())
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("refused append changed the file (%d -> %d bytes, err %v)", len(before), len(after), err)
+	}
+	l, recs, info, err := wal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if info.Err != nil || len(recs) != 3 {
+		t.Fatalf("reopened log: %d records, damage %v; want 3 and none", len(recs), info.Err)
+	}
+	if seq, err := l.Append(2, []byte("after")); err != nil || seq != 4 {
+		t.Fatalf("append after a refusal: seq %d, err %v", seq, err)
+	}
+}
+
+// TestWriteSnapshotRefusesOversizedPayload: an oversized snapshot is
+// refused before its temp file is written, so the previous snapshot
+// stays in place and readable.
+func TestWriteSnapshotRefusesOversizedPayload(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "q.snap")
+	if err := wal.WriteSnapshot(path, 7, []byte("state")); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.WriteSnapshot(path, 9, make([]byte, wal.MaxPayload+1)); !errors.Is(err, wal.ErrTooLarge) {
+		t.Fatalf("oversized snapshot: %v, want ErrTooLarge", err)
+	}
+	got, seq, err := wal.ReadSnapshot(path)
+	if err != nil || seq != 7 || string(got) != "state" {
+		t.Fatalf("previous snapshot after a refusal: %q seq %d err %v", got, seq, err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("refused snapshot left files behind: %v %v", ents, err)
+	}
+}
