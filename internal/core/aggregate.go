@@ -4,61 +4,58 @@ import (
 	"math"
 	"sort"
 
+	"rowfuse/internal/analysis"
 	"rowfuse/internal/device"
 )
 
-// welford is an online mean/variance/min accumulator (Welford's
-// algorithm), used so module-scale studies aggregate observations in
-// O(1) memory instead of retaining every row result.
+// welford is an online mean/variance/min accumulator: analysis.Moments
+// (Welford's algorithm) plus the running minimum, used so module-scale
+// studies aggregate observations in O(1) memory instead of retaining
+// every row result.
 type welford struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
+	analysis.Moments
+	min float64
 }
 
 func (w *welford) add(v float64) {
-	w.n++
-	if w.n == 1 || v < w.min {
+	if w.N == 0 || v < w.min {
 		w.min = v
 	}
-	d := v - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (v - w.mean)
+	w.Add(v)
 }
 
 // merge folds another accumulator into w (Chan et al.'s parallel
 // update). Merging with an empty accumulator is exact; merging two
 // non-empty halves matches the sequential fold up to float rounding.
 func (w *welford) merge(o welford) {
-	if o.n == 0 {
+	if o.N == 0 {
 		return
 	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	if o.min < w.min {
+	if w.N == 0 || o.min < w.min {
 		w.min = o.min
 	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.mean += d * float64(o.n) / float64(n)
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.n = n
+	w.Merge(o.Moments)
 }
 
 func (w *welford) stats(total int) Stats {
-	st := Stats{N: w.n, Total: total}
-	if w.n == 0 {
+	st := Stats{N: int(w.N), Total: total}
+	if w.N == 0 {
 		return st
 	}
-	st.Mean = w.mean
+	st.Mean = w.Mean
 	st.Min = w.min
-	if w.n > 1 {
-		st.Std = math.Sqrt(w.m2 / float64(w.n-1))
+	if w.N > 1 {
+		st.Std = math.Sqrt(w.M2 / float64(w.N-1))
 	}
 	return st
+}
+
+func (w welford) state() WelfordState {
+	return WelfordState{N: int(w.N), Mean: w.Mean, M2: w.M2, Min: w.min}
+}
+
+func welfordFromState(st WelfordState) welford {
+	return welford{Moments: analysis.Moments{N: uint64(st.N), Mean: st.Mean, M2: st.M2}, min: st.Min}
 }
 
 // cellAggregate accumulates one (module, pattern, tAggON) cell's
@@ -109,8 +106,8 @@ type AggregateState struct {
 func (a *cellAggregate) State() AggregateState {
 	st := AggregateState{
 		Total:     a.total,
-		ACmin:     WelfordState{N: a.acmin.n, Mean: a.acmin.mean, M2: a.acmin.m2, Min: a.acmin.min},
-		TimeSec:   WelfordState{N: a.timeSec.n, Mean: a.timeSec.mean, M2: a.timeSec.m2, Min: a.timeSec.min},
+		ACmin:     a.acmin.state(),
+		TimeSec:   a.timeSec.state(),
 		Flips:     a.flips,
 		OneToZero: a.oneToZero,
 	}
@@ -128,8 +125,8 @@ func (a *cellAggregate) State() AggregateState {
 func aggregateFromState(st AggregateState) *cellAggregate {
 	a := &cellAggregate{
 		total:     st.Total,
-		acmin:     welford{n: st.ACmin.N, mean: st.ACmin.Mean, m2: st.ACmin.M2, min: st.ACmin.Min},
-		timeSec:   welford{n: st.TimeSec.N, mean: st.TimeSec.Mean, m2: st.TimeSec.M2, min: st.TimeSec.Min},
+		acmin:     welfordFromState(st.ACmin),
+		timeSec:   welfordFromState(st.TimeSec),
 		flips:     st.Flips,
 		oneToZero: st.OneToZero,
 		flipKeys:  make(map[uint64]struct{}, len(st.FlipKeys)),

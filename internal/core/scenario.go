@@ -333,10 +333,14 @@ func newScenarioEngine(env EngineEnv, sc Scenario) (Engine, error) {
 // single default scenario so the grid is never empty.
 func (c StudyConfig) scenarios() []Scenario {
 	if len(c.Scenarios) == 0 {
-		return []Scenario{{}}
+		return defaultScenarioAxis
 	}
 	return c.Scenarios
 }
+
+// defaultScenarioAxis is the axis of a study that configures none.
+// Callers of scenarios must not modify it.
+var defaultScenarioAxis = []Scenario{{}}
 
 // scenariosAreDefault reports whether the axis is indistinguishable
 // from a pre-scenario campaign (nil, or exactly one default scenario):

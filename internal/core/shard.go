@@ -100,28 +100,25 @@ func (p ShardPlan) String() string {
 // exactly like a pre-scenario one.
 func (s *Study) Cells() []CellKey {
 	scens := s.cfg.scenarios()
-	var cells []CellKey
+	// Fleet campaigns put chip blocks on the module axis; block order is
+	// ascending so checkpoint sort order, grid order and chip order all
+	// agree.
+	modules := len(s.cfg.Modules)
 	if s.cfg.Fleet != nil {
-		// Fleet campaigns put chip blocks on the module axis; block
-		// order is ascending so checkpoint sort order, grid order and
-		// chip order all agree.
-		for b := 0; b < s.cfg.Fleet.Blocks(); b++ {
-			id := FleetBlockID(b)
-			for _, k := range s.cfg.Patterns {
-				for _, t := range s.cfg.Sweep {
-					for _, sc := range scens {
-						cells = append(cells, CellKey{Module: id, Kind: k, AggOn: t, Scenario: sc.ID})
-					}
-				}
-			}
-		}
-		return cells
+		modules = len(s.blockIDs)
 	}
-	for _, mi := range s.cfg.Modules {
+	cells := make([]CellKey, 0, modules*len(s.cfg.Patterns)*len(s.cfg.Sweep)*len(scens))
+	for m := 0; m < modules; m++ {
+		var id string
+		if s.cfg.Fleet != nil {
+			id = s.blockIDs[m]
+		} else {
+			id = s.cfg.Modules[m].ID
+		}
 		for _, k := range s.cfg.Patterns {
 			for _, t := range s.cfg.Sweep {
 				for _, sc := range scens {
-					cells = append(cells, CellKey{Module: mi.ID, Kind: k, AggOn: t, Scenario: sc.ID})
+					cells = append(cells, CellKey{Module: id, Kind: k, AggOn: t, Scenario: sc.ID})
 				}
 			}
 		}

@@ -85,6 +85,13 @@ func TestStudyCellsDeterministicOrder(t *testing.T) {
 	if len(a) != 12 {
 		t.Fatalf("got %d cells, want 12", len(a))
 	}
+	// The grid is sized once: one allocation per call, for a module
+	// grid and for a fleet's chip blocks.
+	for _, s := range []*Study{NewStudy(tinyStudyConfig(t)), NewStudy(fleetTestConfig(40, 8))} {
+		if allocs := testing.AllocsPerRun(10, func() { s.Cells() }); allocs != 1 {
+			t.Errorf("Cells allocates %v times per call, want 1", allocs)
+		}
+	}
 }
 
 func TestWelfordMergeWithEmptyIsExact(t *testing.T) {

@@ -242,6 +242,9 @@ func (r *ModuleResult) FlipKeys() map[uint64]struct{} {
 // Study runs and caches a characterization campaign.
 type Study struct {
 	cfg StudyConfig
+	// blockIDs names a fleet study's chip blocks, FleetBlockID(b) for
+	// each, so Cells allocates only its result.
+	blockIDs []string
 
 	mu      sync.Mutex
 	results map[CellKey]*ModuleResult
@@ -252,10 +255,17 @@ type Study struct {
 
 // NewStudy builds a study with defaults applied.
 func NewStudy(cfg StudyConfig) *Study {
-	return &Study{
+	s := &Study{
 		cfg:     cfg.withDefaults(),
 		results: make(map[CellKey]*ModuleResult),
 	}
+	if f := s.cfg.Fleet; f != nil {
+		s.blockIDs = make([]string, f.Blocks())
+		for b := range s.blockIDs {
+			s.blockIDs[b] = FleetBlockID(b)
+		}
+	}
+	return s
 }
 
 // Config returns the effective (defaulted) configuration.
