@@ -47,7 +47,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -119,15 +118,8 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		}
 		// Campaigns are created over the API, each with its own spec;
 		// a config flag here would describe no campaign at all.
-		allowed := map[string]bool{"service": true, "state": true, "listen": true, "retention": true}
-		var rejected []string
-		fs.Visit(func(f *flag.Flag) {
-			if !allowed[f.Name] {
-				rejected = append(rejected, "-"+f.Name)
-			}
-		})
-		if len(rejected) > 0 {
-			return fmt.Errorf("service mode hosts campaigns created over POST /v1/campaigns; %s would be silently ignored", strings.Join(rejected, " "))
+		if stray := core.StrayFlags(fs, "service", "state", "listen", "retention"); stray != "" {
+			return fmt.Errorf("service mode hosts campaigns created over POST /v1/campaigns; %s would be silently ignored", stray)
 		}
 		return serveService(ctx, *listen, *state, *retain, out)
 	}
@@ -164,16 +156,9 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	// manifest, not this process's flags, defines the campaign — an
 	// explicitly set config flag here would be silently ignored, so
 	// reject it the same way characterize -worker does.
-	allowed := map[string]bool{"dir": true, "watch": true, "out": true}
-	var rejected []string
-	fs.Visit(func(f *flag.Flag) {
-		if !allowed[f.Name] {
-			rejected = append(rejected, "-"+f.Name)
-		}
-	})
-	if len(rejected) > 0 {
+	if stray := core.StrayFlags(fs, "dir", "watch", "out"); stray != "" {
 		return fmt.Errorf("watch mode reads the campaign from %s/manifest.json; %s would be silently ignored (campaign flags belong with -init)",
-			*dir, strings.Join(rejected, " "))
+			*dir, stray)
 	}
 	q, err := dispatch.OpenDir(*dir)
 	if err != nil {
@@ -223,16 +208,9 @@ func serverQueue(fs *flag.FlagSet, state string, b *core.CampaignSpecBuilder, un
 		return q, noop, err
 	}
 	if _, err := os.Stat(filepath.Join(state, "queue.wal")); err == nil {
-		allowed := map[string]bool{"listen": true, "state": true, "watch": true, "out": true, "linger": true}
-		var rejected []string
-		fs.Visit(func(f *flag.Flag) {
-			if !allowed[f.Name] {
-				rejected = append(rejected, "-"+f.Name)
-			}
-		})
-		if len(rejected) > 0 {
+		if stray := core.StrayFlags(fs, "listen", "state", "watch", "out", "linger"); stray != "" {
 			return nil, nil, fmt.Errorf("%s already holds a campaign journal; %s would be silently ignored (the journal resumes the original campaign)",
-				state, strings.Join(rejected, " "))
+				state, stray)
 		}
 		q, err := dispatch.OpenWALQueue(state)
 		if err != nil {

@@ -163,21 +163,10 @@ func run(args []string) error {
 		// config truth, so every explicitly set config or render flag
 		// is a mistake worth flagging rather than silently ignoring.
 		// Only worker identity, pool size and profiling are local.
-		allowed := map[string]bool{
-			"worker": true, "worker-name": true, "workers": true,
-			"partial-every": true, "unit-timeout": true,
-			"cpuprofile": true, "memprofile": true,
-			"campaign": true, "campaign-token": true,
-		}
-		var rejected []string
-		fs.Visit(func(f *flag.Flag) {
-			if !allowed[f.Name] {
-				rejected = append(rejected, "-"+f.Name)
-			}
-		})
-		if len(rejected) > 0 {
+		if stray := core.StrayFlags(fs, "worker", "worker-name", "workers", "partial-every", "unit-timeout",
+			"cpuprofile", "memprofile", "campaign", "campaign-token"); stray != "" {
 			return fmt.Errorf("-worker gets its campaign from the coordinator's manifest; %s would be silently ignored (drop them, or change the campaign at -init time)",
-				strings.Join(rejected, " "))
+				stray)
 		}
 		return runWorker(*workerFor, *workerName, *campaignID, *campaignToken, *workers, *partialEvery, *unitTimeout)
 	}
@@ -186,19 +175,8 @@ func run(args []string) error {
 		// Status/watch are read-only observers: like worker mode, the
 		// campaign config lives in the coordinator's manifest, so any
 		// explicitly set config flag is a mistake worth flagging.
-		allowed := map[string]bool{
-			"status": true, "watch": true, "watch-interval": true,
-			"campaign": true,
-		}
-		var rejected []string
-		fs.Visit(func(f *flag.Flag) {
-			if !allowed[f.Name] {
-				rejected = append(rejected, "-"+f.Name)
-			}
-		})
-		if len(rejected) > 0 {
-			return fmt.Errorf("-status/-watch read the campaign from the coordinator; %s would be silently ignored",
-				strings.Join(rejected, " "))
+		if stray := core.StrayFlags(fs, "status", "watch", "watch-interval", "campaign"); stray != "" {
+			return fmt.Errorf("-status/-watch read the campaign from the coordinator; %s would be silently ignored", stray)
 		}
 		if *statusFor != "" && *watchFor != "" {
 			return fmt.Errorf("-status and -watch are mutually exclusive")

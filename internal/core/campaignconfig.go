@@ -3,6 +3,7 @@ package core
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -116,6 +117,20 @@ func BindCampaignFlags(fs *flag.FlagSet) *CampaignSpecBuilder {
 	fs.StringVar(&b.ScenarioSet, "scenarios", b.ScenarioSet,
 		"scenario axis: default, mitigations, bender, bank, or thermal:T1,T2,... (empty picks a default from -exp)")
 	return b
+}
+
+// StrayFlags lists, as "-a -b" in flag order, the flags explicitly set
+// on fs that allowed does not name: in a mode that takes its campaign
+// from a manifest or a coordinator, they would be silently ignored. It
+// returns "" when every set flag is allowed.
+func StrayFlags(fs *flag.FlagSet, allowed ...string) string {
+	var stray []string
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(allowed, f.Name) {
+			stray = append(stray, "-"+f.Name)
+		}
+	})
+	return strings.Join(stray, " ")
 }
 
 // scenarioSet resolves the effective scenario-set name: an explicit
