@@ -268,9 +268,8 @@ func (l *loader) load(importPath string) (*loadedPkg, error) {
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Defs: make(map[*ast.Ident]types.Object),
+		Uses: make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{Importer: l, Sizes: types.SizesFor("gc", l.ctx.GOARCH)}
 	pkg, err := conf.Check(importPath, l.fset, files, info)
@@ -394,7 +393,6 @@ func (g *reachGraph) add(obj types.Object, d *reachDecl) {
 func stdlibCalled(std types.Importer) ([]*types.Interface, error) {
 	named := []struct{ pkg, name string }{
 		{"encoding/json", "Marshaler"},
-		{"encoding/json", "Unmarshaler"},
 		{"fmt", "Stringer"},
 		{"io", "Writer"},
 		{"net/http", "Handler"},
@@ -589,14 +587,14 @@ func (Label) String() string { return "label" }
 func Seam() int { return 5 }
 
 func Used() int { return 6 }
+
+func pureHelper() int { return 7 }
 `,
 		"internal/lib/kernel_purego.go": `//go:build purego
 
 package lib
 
 func Kernel() int { return pureHelper() }
-
-func pureHelper() int { return 7 }
 `,
 		"internal/lib/kernel_default.go": `//go:build !purego
 
