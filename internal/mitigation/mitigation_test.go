@@ -1,6 +1,7 @@
 package mitigation
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -289,7 +290,7 @@ func TestGuardValidation(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := NewEngine(EngineConfig{}); err != ErrNilBank {
+	if _, err := NewEngine(EngineConfig{}); !errors.Is(err, ErrNilBank) {
 		t.Errorf("nil bank: %v, want ErrNilBank", err)
 	}
 	eng, err := NewEngine(EngineConfig{Bank: mitBank(t)})
