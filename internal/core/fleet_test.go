@@ -2,14 +2,22 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 
+	"rowfuse/internal/analysis"
 	"rowfuse/internal/pattern"
 	"rowfuse/internal/timing"
 )
+
+// sketchCount reads a sketch's observation count from its binary
+// header: magic[4] | alpha f64 | zeros u64 | total u64 | ...
+func sketchCount(s *analysis.Sketch) uint64 {
+	return binary.LittleEndian.Uint64(s.AppendBinary(nil)[20:28])
+}
 
 func fleetTestConfig(chips, perCell int) StudyConfig {
 	return StudyConfig{
@@ -124,6 +132,9 @@ func TestFleetStatsAndSurvival(t *testing.T) {
 			t.Fatalf("group %s survival %v out of range", g.Key, g.Survival())
 		}
 		if g.Flipped > 0 {
+			if n := sketchCount(g.ACmin); n != g.Flipped {
+				t.Fatalf("group %s sketch count %d != flipped %d", g.Key, n, g.Flipped)
+			}
 			if p50 := g.ACmin.Quantile(0.5); p50 <= 0 {
 				t.Fatalf("group %s p50 ACmin = %v", g.Key, p50)
 			}
