@@ -54,7 +54,17 @@ type MemQueue struct {
 	canceled bool
 	// journal, when non-nil, receives every committed record (called
 	// with mu held): WALQueue's hook.
-	journal func(record)
+	journal journaler
+}
+
+// journaler is the hook a MemQueue hands its records to, in two steps
+// around apply.
+type journaler interface {
+	// encode prepares r's journal entry before r applies; an error
+	// refuses r, and the state stays as it was.
+	encode(r record) error
+	// stage queues the entry encode prepared, once r has applied.
+	stage()
 }
 
 // PlanDelta is one slot rewrite of a re-planning pass: the unit's new
@@ -135,13 +145,19 @@ func NewMemQueue(m Manifest, opts ...MemQueueOption) (*MemQueue, error) {
 func (q *MemQueue) Manifest() (Manifest, error) { return q.manifest, nil }
 
 // commit applies a decided record and hands it to the journal hook;
-// callers hold q.mu.
+// callers hold q.mu. The hook encodes the record first, so one the
+// journal could not write is refused before it changes the state.
 func (q *MemQueue) commit(r record) error {
+	if q.journal != nil {
+		if err := q.journal.encode(r); err != nil {
+			return err
+		}
+	}
 	if err := r.apply(q); err != nil {
 		return fmt.Errorf("dispatch: apply record kind %d: %w", r.kind(), err)
 	}
 	if q.journal != nil {
-		q.journal(r)
+		q.journal.stage()
 	}
 	return nil
 }

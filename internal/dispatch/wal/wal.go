@@ -61,11 +61,11 @@ const (
 	// kind space below it belongs to callers.
 	snapshotKind uint8 = 0xFF
 
-	// maxPayload bounds a record's declared payload length. A frame
+	// MaxPayload bounds a record's declared payload length. A frame
 	// claiming more is corrupt framing, not a big record: the largest
 	// legitimate payload (a whole-campaign checkpoint) is a few MB, and
 	// the writers refuse anything longer with ErrTooLarge.
-	maxPayload = 64 << 20
+	MaxPayload = 64 << 20
 )
 
 // Sentinel errors; callers branch with errors.Is.
@@ -213,7 +213,7 @@ func parseRecord(data []byte, prev uint64) (Record, int, error) {
 	kind := data[3]
 	seq := binary.LittleEndian.Uint64(data[4:12])
 	plen := binary.LittleEndian.Uint32(data[12:16])
-	if plen > maxPayload {
+	if plen > MaxPayload {
 		return Record{}, 0, fmt.Errorf("%w: %d-byte payload length", ErrBadRecord, plen)
 	}
 	total := recHeadSize + int(plen) + crcSize
@@ -231,10 +231,12 @@ func parseRecord(data []byte, prev uint64) (Record, int, error) {
 	return Record{Seq: seq, Kind: kind, Payload: append([]byte(nil), body[recHeadSize:]...)}, total, nil
 }
 
-// checkPayload refuses a payload the reader would reject as corrupt.
-func checkPayload(payload []byte) error {
-	if len(payload) > maxPayload {
-		return fmt.Errorf("%w: %d bytes, limit %d", ErrTooLarge, len(payload), maxPayload)
+// CheckPayload refuses a payload the reader would reject as corrupt.
+// The writers call it before writing; a caller that must not act on a
+// record the log would refuse calls it first.
+func CheckPayload(payload []byte) error {
+	if len(payload) > MaxPayload {
+		return fmt.Errorf("%w: %d bytes, limit %d", ErrTooLarge, len(payload), MaxPayload)
 	}
 	return nil
 }
@@ -260,7 +262,7 @@ func (l *Log) Append(kind uint8, payload []byte) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
-	if err := checkPayload(payload); err != nil {
+	if err := CheckPayload(payload); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	if err := faultpoint.Check("wal.append"); err != nil {
@@ -325,7 +327,7 @@ func (l *Log) Close() error {
 // temp-write/fsync/rename replace means a crash mid-compaction leaves
 // either the old snapshot or the new one, never a torn file.
 func WriteSnapshot(path string, lastSeq uint64, payload []byte) error {
-	if err := checkPayload(payload); err != nil {
+	if err := CheckPayload(payload); err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	if err := faultpoint.Check("wal.snapshot"); err != nil {

@@ -24,8 +24,8 @@ import (
 //
 // Journal discipline: the record is the transition. Every operation
 // runs MemQueue's decide-then-commit code; each record it commits (see
-// record) is applied to the in-memory state and staged, and the
-// operation ends with one append of its staged records and — unless
+// record) is encoded, applied to the in-memory state and staged, and
+// the operation ends with one append of its staged records and — unless
 // they are all heartbeats — one fsync, before the caller sees a
 // result. Nothing externally visible (a granted lease, an accepted
 // submit) can therefore be forgotten by a restart. Applying before
@@ -61,9 +61,10 @@ type WALQueue struct {
 	sinceCompact int
 
 	// buf stages the records of the operation in flight (filled by
-	// stage, drained by flushLocked).
-	buf    []walRec
-	bufErr error
+	// stage, drained by flushLocked); next is the record encode
+	// prepared for stage.
+	buf  []walRec
+	next walRec
 
 	recovered wal.RecoverInfo
 	// failed poisons the queue after a journal write error: the
@@ -133,7 +134,7 @@ func CreateWALQueue(dir string, m Manifest, opts ...WALQueueOption) (*WALQueue, 
 			return nil, err
 		}
 	}
-	mem.journal = q.stage
+	mem.journal = q
 	return q, nil
 }
 
@@ -204,7 +205,7 @@ func OpenWALQueue(dir string, opts ...WALQueueOption) (*WALQueue, error) {
 		log.Close()
 		return nil, fmt.Errorf("%w: %s: %v", wal.ErrBadRecord, dir, err)
 	}
-	mem.journal = q.stage
+	mem.journal = q
 	return q, nil
 }
 
@@ -229,16 +230,28 @@ func (q *MemQueue) replay(recs []wal.Record, after uint64) error {
 	return nil
 }
 
-// stage is the MemQueue's journal hook: it encodes each committed
-// record for the flush that ends the operation. It runs under q.mu,
-// which mutate holds around every MemQueue mutator.
-func (q *WALQueue) stage(r record) {
+// encode is the first half of the MemQueue's journal hook: it encodes
+// a decided record before the record applies, and refuses one the log
+// would refuse, so a submit whose checkpoint exceeds wal.MaxPayload
+// fails with wal.ErrTooLarge and leaves the queue serving. It runs
+// under q.mu, which mutate holds around every MemQueue mutator.
+func (q *WALQueue) encode(r record) error {
 	payload, err := json.Marshal(r)
 	if err != nil {
-		q.bufErr = fmt.Errorf("dispatch: encode journal record kind %d: %w", r.kind(), err)
-		return
+		return fmt.Errorf("dispatch: encode journal record kind %d: %w", r.kind(), err)
 	}
-	q.buf = append(q.buf, walRec{kind: r.kind(), payload: payload})
+	if err := wal.CheckPayload(payload); err != nil {
+		return fmt.Errorf("dispatch: journal record kind %d: %w", r.kind(), err)
+	}
+	q.next = walRec{kind: r.kind(), payload: payload}
+	return nil
+}
+
+// stage is the second half: it queues the record encode prepared, once
+// the record applied, for the flush that ends the operation.
+func (q *WALQueue) stage() {
+	q.buf = append(q.buf, q.next)
+	q.next = walRec{}
 }
 
 // mutate runs one MemQueue mutator under the journal discipline:
@@ -253,7 +266,7 @@ func (q *WALQueue) mutate(op func() error) error {
 	if q.failed != nil {
 		return fmt.Errorf("dispatch: queue %s: journal failed earlier: %w", q.dir, q.failed)
 	}
-	q.buf, q.bufErr = q.buf[:0], nil
+	q.buf = q.buf[:0]
 	err := op()
 	if ferr := q.flushLocked(); ferr != nil {
 		return ferr
@@ -266,10 +279,6 @@ func (q *WALQueue) mutate(op func() error) error {
 // has already advanced past what the journal can replay, so serving
 // on would acknowledge transitions a restart silently forgets.
 func (q *WALQueue) flushLocked() error {
-	if q.bufErr != nil {
-		q.failed = q.bufErr
-		return q.bufErr
-	}
 	if len(q.buf) == 0 {
 		return nil
 	}
@@ -291,7 +300,12 @@ func (q *WALQueue) flushLocked() error {
 	q.buf = q.buf[:0]
 	if q.sinceCompact >= q.compactEvery {
 		// Best-effort: compaction failure leaves a longer journal, not
-		// a wrong one — the next flush simply tries again.
+		// a wrong one. The count restarts either way, so a failed
+		// compaction is retried after another compactEvery records
+		// rather than on every flush: a state the snapshot writer
+		// refuses would otherwise be marshaled again, under q.mu, by
+		// every operation that follows.
+		q.sinceCompact = 0
 		_ = q.compactLocked()
 	}
 	return nil
@@ -311,11 +325,7 @@ func (q *WALQueue) compactLocked() error {
 	if err := wal.WriteSnapshot(filepath.Join(q.dir, snapFile), q.log.LastSeq(), payload); err != nil {
 		return err
 	}
-	if err := q.log.Reset(); err != nil {
-		return err
-	}
-	q.sinceCompact = 0
-	return nil
+	return q.log.Reset()
 }
 
 // Recovered reports how reopening found the journal: a zero-value

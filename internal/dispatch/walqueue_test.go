@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"rowfuse/internal/core"
 	"rowfuse/internal/dispatch"
 	"rowfuse/internal/dispatch/wal"
+	"rowfuse/internal/faultpoint"
 )
 
 // mergedJSON canonicalizes a queue's merged checkpoint for equality
@@ -289,6 +291,110 @@ func TestWALQueueCompaction(t *testing.T) {
 	}
 	if st := queueStatus(t, q2); !st.Drained() {
 		t.Fatalf("not drained: %+v", st)
+	}
+}
+
+// TestWALQueueFailedCompactionBacksOff: a compaction that fails is
+// retried after another compactEvery records, not by every flush that
+// follows, and the journal stays the durable state meanwhile.
+func TestWALQueueFailedCompactionBacksOff(t *testing.T) {
+	clk := newFakeClock()
+	m := dispatch.NewManifest(testConfig(t), 2, time.Minute)
+	dir := t.TempDir()
+	q, err := dispatch.CreateWALQueue(dir, m,
+		dispatch.WALWithClock(clk.Now), dispatch.WALWithoutSync(), dispatch.WALCompactEvery(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultpoint.Arm(&faultpoint.Schedule{Rules: []faultpoint.Rule{{Point: "wal.snapshot"}}})
+	defer faultpoint.Disarm()
+	// Twelve records, one flush each: the grant and eleven heartbeats.
+	l, err := q.Acquire("worker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 11; i++ {
+		if err := q.Heartbeat(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	attempts := 0
+	for _, p := range faultpoint.Fired() {
+		if p == "wal.snapshot" {
+			attempts++
+		}
+	}
+	if attempts != 4 {
+		t.Fatalf("%d compaction attempts over 12 records, want 4 (one per 3 records)", attempts)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "queue.snap")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a failed compaction left a snapshot: %v", err)
+	}
+	faultpoint.Disarm()
+	for i := 0; i < 3; i++ {
+		if err := q.Heartbeat(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "queue.snap")); err != nil {
+		t.Fatalf("compaction never succeeded once the fault cleared: %v", err)
+	}
+	want := queueStatus(t, q)
+	q2, err := dispatch.OpenWALQueue(dir, dispatch.WALWithClock(clk.Now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Close()
+	if got := queueStatus(t, q2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay after the failed compactions differs:\n got %+v\nwant %+v", got, want)
+	}
+	if err := q2.Heartbeat(l); err != nil {
+		t.Fatalf("replayed queue rejected the live lease: %v", err)
+	}
+}
+
+// TestWALQueueRefusesOversizedRecord: a submit whose journal record
+// the log would refuse fails with wal.ErrTooLarge before the queue
+// applies it, so the unit stays leased, the queue keeps serving, and
+// the holder's next submit lands and replays.
+func TestWALQueueRefusesOversizedRecord(t *testing.T) {
+	clk := newFakeClock()
+	m := dispatch.NewManifest(testConfig(t), 2, time.Minute)
+	dir := t.TempDir()
+	q, err := dispatch.CreateWALQueue(dir, m, dispatch.WALWithClock(clk.Now), dispatch.WALWithoutSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := q.Acquire("worker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := checkpointForCells(t, m, l.Cells)
+	big := *cp
+	big.Shard = strings.Repeat("x", wal.MaxPayload) // the shard label is not validated
+	if err := q.Submit(l, &big, 0); !errors.Is(err, wal.ErrTooLarge) {
+		t.Fatalf("oversized submit: %v, want ErrTooLarge", err)
+	}
+	if err := q.Failed(); err != nil {
+		t.Fatalf("a refused record poisoned the queue: %v", err)
+	}
+	if st := queueStatus(t, q); st.Done != 0 || st.Leased != 1 {
+		t.Fatalf("after the refused submit: %+v, want the unit still leased", st)
+	}
+	if err := q.Submit(l, cp, 0); err != nil {
+		t.Fatalf("submit after a refusal: %v", err)
+	}
+	wantStatus, wantMerged := queueStatus(t, q), mergedJSON(t, q)
+	q2, err := dispatch.OpenWALQueue(dir, dispatch.WALWithClock(clk.Now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Close()
+	if got := queueStatus(t, q2); !reflect.DeepEqual(got, wantStatus) {
+		t.Fatalf("replayed status differs:\n got %+v\nwant %+v", got, wantStatus)
+	}
+	if got := mergedJSON(t, q2); !bytes.Equal(got, wantMerged) {
+		t.Fatal("replayed merged checkpoint differs")
 	}
 }
 
