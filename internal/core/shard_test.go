@@ -333,6 +333,25 @@ func TestStudyRunRejectsBadShard(t *testing.T) {
 	}
 }
 
+// TestStudyRunRejectsBadBank: a bank no chip has is refused before any
+// engine runs, whichever engine the scenario selects.
+func TestStudyRunRejectsBadBank(t *testing.T) {
+	for _, bank := range []int{-1, device.ChipBanks} {
+		for _, set := range []string{"default", "bank", "bender"} {
+			cfg := tinyStudyConfig(t)
+			cfg.Bank = bank
+			scens, err := ParseScenarioSet(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Scenarios = scens
+			if err := NewStudy(cfg).Run(context.Background()); err == nil {
+				t.Errorf("bank %d accepted under the %s scenario set", bank, set)
+			}
+		}
+	}
+}
+
 func TestSeedRejectsOffGridCells(t *testing.T) {
 	s := NewStudy(tinyStudyConfig(t))
 	bad := map[CellKey]AggregateState{

@@ -371,6 +371,12 @@ func (s *Study) Run(ctx context.Context) error {
 	if err := s.cfg.Shard.Validate(); err != nil {
 		return err
 	}
+	// The trace engine takes the bank under test from a device.Chip;
+	// the analytic and bank engines seed its cells from the index. All
+	// refuse an index no chip has, so every engine agrees.
+	if err := device.CheckBank(s.cfg.Bank); err != nil {
+		return err
+	}
 	if err := s.cfg.validateScenarios(); err != nil {
 		return err
 	}

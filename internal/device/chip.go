@@ -17,8 +17,16 @@ type Chip struct {
 	banks []*Bank
 }
 
-// chipBanks is a chip's bank count (DDR4 x8 organization).
-const chipBanks = 16
+// ChipBanks is a chip's bank count (DDR4 x8 organization).
+const ChipBanks = 16
+
+// CheckBank refuses a bank index no chip has.
+func CheckBank(i int) error {
+	if i < 0 || i >= ChipBanks {
+		return fmt.Errorf("device: bank index %d out of range [0,%d)", i, ChipBanks)
+	}
+	return nil
+}
 
 // ChipConfig configures a simulated chip.
 type ChipConfig struct {
@@ -40,7 +48,7 @@ func NewChip(cfg ChipConfig) (*Chip, error) {
 	// Each die of a module gets a distinct serial so its weak cells are
 	// unique, like real sibling dies.
 	prof := DieProfile(cfg.Profile, cfg.Index)
-	c := &Chip{banks: make([]*Bank, chipBanks)}
+	c := &Chip{banks: make([]*Bank, ChipBanks)}
 	for i := range c.banks {
 		b, err := NewBank(BankConfig{
 			Profile:  prof,
@@ -60,8 +68,8 @@ func NewChip(cfg ChipConfig) (*Chip, error) {
 
 // Bank returns bank i.
 func (c *Chip) Bank(i int) (*Bank, error) {
-	if i < 0 || i >= len(c.banks) {
-		return nil, fmt.Errorf("device: bank index %d out of range [0,%d)", i, len(c.banks))
+	if err := CheckBank(i); err != nil {
+		return nil, err
 	}
 	return c.banks[i], nil
 }

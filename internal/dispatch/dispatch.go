@@ -112,6 +112,9 @@ func NewCampaignSpec(cfg core.StudyConfig) CampaignSpec {
 // from. The round trip is exact: the reconstructed config's
 // fingerprint equals the original's.
 func (sp CampaignSpec) StudyConfig() (core.StudyConfig, error) {
+	if err := device.CheckBank(sp.Bank); err != nil {
+		return core.StudyConfig{}, fmt.Errorf("dispatch: campaign spec: %w", err)
+	}
 	cfg := core.StudyConfig{
 		Modules:       sp.Modules,
 		Params:        sp.Params,

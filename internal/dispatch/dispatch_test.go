@@ -8,6 +8,7 @@ import (
 
 	"rowfuse/internal/chipdb"
 	"rowfuse/internal/core"
+	"rowfuse/internal/device"
 	"rowfuse/internal/dispatch"
 	"rowfuse/internal/resultio"
 	"rowfuse/internal/timing"
@@ -103,6 +104,20 @@ func TestManifestValidate(t *testing.T) {
 	bad.Fingerprint = "deadbeef"
 	if err := bad.Validate(); err == nil {
 		t.Fatal("tampered fingerprint validated")
+	}
+	// So is a bank no chip has: the spec refuses it before any engine
+	// would.
+	for _, bank := range []int{-1, device.ChipBanks} {
+		bad := m
+		bad.Campaign.Bank = bank
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("bank %d validated", bank)
+		}
+	}
+	last := m
+	last.Campaign.Bank = device.ChipBanks - 1
+	if _, err := last.Campaign.StudyConfig(); err != nil {
+		t.Fatalf("bank %d refused: %v", last.Campaign.Bank, err)
 	}
 }
 
